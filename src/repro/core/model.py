@@ -16,6 +16,7 @@ import numpy as np
 
 from ..autograd import Module, Tensor, gather
 from ..autograd import functional as F
+from ..autograd.ops import rows_dot
 from ..gnn import GAT, GCN, HAN, MAGNN, RGCN, GNNEncoder, GraphSAGE, HetGNN
 from ..graph.schema import GraphSchema
 from .matching import make_matcher
@@ -149,6 +150,44 @@ def build_encoder(config: ModelConfig, schema: GraphSchema, rng: np.random.Gener
     return builder(config, schema, common)
 
 
+def pair_logits(
+    matcher: Module,
+    lexical_scale: Optional[Tensor],
+    h_query: Tensor,
+    query_ids: np.ndarray,
+    h_ref: Tensor,
+    ref_ids: np.ndarray,
+    x_query: Optional[Tensor] = None,
+    x_ref: Optional[Tensor] = None,
+) -> Tensor:
+    """Matching logits for aligned (query node, KB node) id arrays.
+
+    The one implementation of pair scoring (Section 2.2): gather both
+    embeddings, apply ``matcher``, and — when ``lexical_scale`` is given
+    and both initial feature matrices ``x_query``/``x_ref`` are present —
+    add the scaled raw feature similarity.  :meth:`EDGNN.score_pairs` and
+    the KB shard workers both call it, so every path scores with the same
+    op sequence.
+    """
+    query_ids = np.asarray(query_ids, dtype=np.int64)
+    ref_ids = np.asarray(ref_ids, dtype=np.int64)
+    if query_ids.shape != ref_ids.shape:
+        raise ValueError("query_ids and ref_ids must align")
+    # BLAS multiplies a lone row through a matrix-vector kernel that rounds
+    # differently from the matrix-matrix kernel every longer call uses.
+    # Scoring a single pair as two copies of itself keeps a pair's logit
+    # independent of how many pairs share the call, which is what lets a
+    # sharded fan-out split one call into many and merge back exactly.
+    single = len(query_ids) == 1
+    if single:
+        query_ids, ref_ids = np.repeat(query_ids, 2), np.repeat(ref_ids, 2)
+    logits = matcher(gather(h_query, query_ids), gather(h_ref, ref_ids))
+    if lexical_scale is not None and x_query is not None and x_ref is not None:
+        lexical = rows_dot(gather(x_query, query_ids), gather(x_ref, ref_ids))
+        logits = logits + lexical * lexical_scale
+    return logits[:1] if single else logits
+
+
 class EDGNN(Module):
     """Siamese GNN encoder + matching module.
 
@@ -192,19 +231,18 @@ class EDGNN(Module):
 
         ``x_query``/``x_ref`` are the initial feature matrices of the two
         graphs; when provided (and ``lexical_skip`` is on) the raw
-        feature similarity joins the logit.
+        feature similarity joins the logit.  See :func:`pair_logits`.
         """
-        query_ids = np.asarray(query_ids, dtype=np.int64)
-        ref_ids = np.asarray(ref_ids, dtype=np.int64)
-        if query_ids.shape != ref_ids.shape:
-            raise ValueError("query_ids and ref_ids must align")
-        from ..autograd.ops import rows_dot
-
-        logits = self.matcher(gather(h_query, query_ids), gather(h_ref, ref_ids))
-        if self.config.lexical_skip and x_query is not None and x_ref is not None:
-            lexical = rows_dot(gather(x_query, query_ids), gather(x_ref, ref_ids))
-            logits = logits + lexical * self.lexical_scale
-        return logits
+        return pair_logits(
+            self.matcher,
+            self.lexical_scale if self.config.lexical_skip else None,
+            h_query,
+            query_ids,
+            h_ref,
+            ref_ids,
+            x_query=x_query,
+            x_ref=x_ref,
+        )
 
     def pair_loss(self, logits: Tensor, labels: np.ndarray, pos_weight: float = 1.0) -> Tensor:
         """Eq. 5 — negative-sampling cross entropy over pair logits.

@@ -17,10 +17,13 @@ Both return a *shortlist* of node ids; the ``"indexed"`` candidate
 generator (:mod:`repro.retrieval.generator`) reruns the exact fuzzy
 oracle restricted to that shortlist, so final candidates keep the
 oracle's scores and filters — recall is purely a question of shortlist
-coverage.  Indexes are packable artifacts (:mod:`repro.retrieval.pack`):
-their state is a dict of flat numpy arrays plus a small JSON params
-blob, which the PR-7 bundle serializes with CRC-checked manifest entries
-and memory-maps read-only on load.
+coverage.  The generator queries one whole-KB index in the serving
+process; KB shards never hold a piece of it.
+
+Indexes are packable artifacts (:mod:`repro.retrieval.pack`): their
+state is a dict of flat numpy arrays plus a small JSON params blob,
+which the PR-7 bundle serializes with CRC-checked manifest entries and
+memory-maps read-only on load.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import abc
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
@@ -160,15 +163,6 @@ class RetrievalIndex(abc.ABC):
     @abc.abstractmethod
     def params(self) -> dict:
         """JSON-serializable reconstruction parameters for the manifest."""
-
-    # -- sharding -------------------------------------------------------
-    @abc.abstractmethod
-    def slice_for(self, node_ids: np.ndarray) -> "RetrievalIndex":
-        """A shard-local sub-index restricted to ``node_ids``.
-
-        Slices keep *global* node ids, so a union of per-shard query
-        results is directly comparable to (and a superset of) the
-        unsharded shortlist for the same query."""
 
 
 def retrieval_fingerprint(

@@ -278,8 +278,8 @@ class LinkingService:
         """(Re)build or warm-start the sharded scoring backend.
 
         When only the weights changed (KB version/shape untouched) the
-        shard views stay valid and the fresh embedding matrix is just
-        re-sliced into them — the warm-start ref-cache distribution
+        partition stays valid and the fresh embedding matrix is just
+        re-sliced into it — the warm-start ref-cache distribution
         (with arena-published payloads, an in-place segment rewrite);
         any KB change rebuilds the partition."""
         from .sharding import ShardedKB
@@ -300,11 +300,6 @@ class LinkingService:
             backend=self.config.shard_backend,
             storage=self.config.storage,
             ref_features=x_ref,
-            # An indexed generator's retrieval index rides along so each
-            # shard carries its local slice of the postings/signatures.
-            retrieval_index=getattr(
-                self.pipeline.candidate_generator, "retrieval_index", None
-            ),
         )
 
     @property

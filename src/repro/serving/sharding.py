@@ -1,45 +1,38 @@
 """KB sharding for multi-worker serving.
 
-``ShardedKB`` partitions the reference KB — its node set, feature rows,
-and the fingerprinted reference-embedding matrix the serving layer
-already caches — into ``num_shards`` shards routed by candidate id
-(``candidate_id % num_shards``).  A query's candidate set is scattered to
-the shards that own each candidate, scored by shard workers on a
-``concurrent.futures`` pool, and gathered back into the original
-candidate order, so the merged scores are byte-identical to scoring
-against the unsharded KB: the matching math is per (mention, candidate)
-pair and never mixes rows.
+``ShardedKB`` partitions the reference KB's feature rows and the
+fingerprinted reference-embedding matrix the serving layer already
+caches into ``num_shards`` shards routed by candidate id
+(``candidate_id % num_shards``).  A chunk's flat pair list is scattered
+to the shards that own each candidate as one
+:class:`~repro.serving.workers.ScoreJob` per shard, scored, and gathered
+back into the original pair order, so the merged scores are
+byte-identical to scoring against the unsharded KB: the matching math is
+per (mention, candidate) pair and never mixes rows.
 
 Shard placement is arithmetic (owner ``id % N``, local row ``id // N``),
-which keeps the scatter O(candidates) with no lookup tables, and each
-shard carries a shard-local :class:`~repro.graph.hetero.HeteroGraph` view
-(``HeteroGraph.subgraph``, the columnar inverse of ``splice``) so a
-worker holding only its shard still has the full node/edge context.
+which keeps the scatter O(candidates) with no lookup tables.
 
-Two execution backends share the routing and the exact same scoring
-math (``backend=``, default ``"thread"``, overridable via the
-``REPRO_SHARD_BACKEND`` environment variable):
+Every job runs through :func:`~repro.serving.workers.score_job` — the
+same function, inputs and timing — whichever backend executes it
+(``backend=``, default ``"thread"``, overridable via the
+``REPRO_SHARD_BACKEND`` environment variable; a single shard scores
+inline):
 
 * ``"thread"`` — a ``concurrent.futures`` thread pool in-process; cheap,
   always available, but the per-shard numpy bookkeeping contends on the
   GIL;
 * ``"process"`` — a :class:`~repro.serving.workers.ShardWorkerPool` of
-  long-lived worker processes, each shipped its pickled shard once at
-  startup; scoring requests carry only the micro-batch's query matrices
-  and id arrays, so N shards score on N independent GILs.  Falls back to
-  threads (with a warning) when the platform cannot fork or spawn.
+  long-lived worker processes, each shipped its shard once at startup;
+  the jobs carry only the chunk's distinct query rows and id arrays, so
+  N shards score on N independent GILs.  Falls back to threads (with a
+  warning) when the platform cannot fork or spawn.
 
 Embeddings are distributed warm-start: the full matrix is computed (or
 loaded from the persisted ref cache) once and sliced per shard —
 :meth:`ShardedKB.distribute` re-slices after a weight refresh without
-touching the shard views, and pushes the fresh slices (plus the
+rebuilding the partition, and pushes the fresh slices (plus the
 refreshed matcher state) to live process workers.
-
-When built with a ``retrieval_index`` (see :mod:`repro.retrieval`), each
-shard also carries its slice of the sublinear candidate index —
-:meth:`ShardedKB.candidates_for` fans a surface form across the shards
-and unions the shard-local shortlists, on the same thread/process
-backends as scoring.
 """
 
 from __future__ import annotations
@@ -48,26 +41,21 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from time import perf_counter
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
+from ..autograd import Tensor
 from ..core.pipeline import EDPipeline
-from ..core.query_graph import QueryGraph
-from ..graph.hetero import HeteroGraph
-from ..retrieval.base import RetrievalIndex
 from ..storage import StorageConfig, shared_memory_available
 from .workers import (
-    CandidateJob,
-    RetrievalSpec,
     ScoreJob,
     ScorerSpec,
     ShardPayload,
     ShardWorkerError,
     ShardWorkerPool,
     resolve_shard_backend,
+    score_job,
 )
 
 
@@ -77,36 +65,18 @@ class KBShard:
 
     ``node_ids`` are the global KB ids this shard owns (every id with
     ``id % num_shards == index``, ascending); row ``i`` of ``h_ref`` /
-    ``x_ref`` and node ``i`` of :attr:`view` correspond to global node
-    ``node_ids[i]``, so the local row of global id ``g`` is simply
-    ``g // num_shards``.
+    ``x_ref`` corresponds to global node ``node_ids[i]``, so the local
+    row of global id ``g`` is simply ``g // num_shards``.
     """
 
     index: int
     node_ids: np.ndarray
     h_ref: np.ndarray
     x_ref: np.ndarray
-    kb: HeteroGraph
-    #: shard-local slice of the sublinear candidate index (global ids),
-    #: present when the ``ShardedKB`` was built with one
-    retrieval: Optional[RetrievalIndex] = None
-    _view: Optional[HeteroGraph] = None
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_ids)
-
-    @property
-    def view(self) -> HeteroGraph:
-        """Shard-local induced subgraph, built lazily: the thread-based
-        scoring path only needs ``h_ref``/``x_ref`` rows, so the O(V+E)
-        extraction is deferred until a consumer (e.g. a process-based
-        worker that must re-embed locally) actually asks for it.  Any KB
-        change rebuilds the whole ``ShardedKB``, so the cache stays
-        consistent."""
-        if self._view is None:
-            self._view = self.kb.subgraph(self.node_ids)
-        return self._view
 
 
 class ShardedKB:
@@ -121,7 +91,6 @@ class ShardedKB:
         backend: Optional[str] = None,
         storage: Optional[StorageConfig] = None,
         ref_features: Optional[np.ndarray] = None,
-        retrieval_index: Optional[RetrievalIndex] = None,
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -129,7 +98,6 @@ class ShardedKB:
         self.num_shards = num_shards
         self.backend = resolve_shard_backend(backend)
         self.storage = storage or StorageConfig()
-        self.retrieval_index = retrieval_index
         # Warm start: reuse an already-computed (or cache-loaded) matrix
         # instead of re-embedding the KB per shard.
         h_ref = pipeline.ref_embeddings() if ref_embeddings is None else np.asarray(ref_embeddings)
@@ -151,12 +119,6 @@ class ShardedKB:
                     node_ids=node_ids,
                     h_ref=np.ascontiguousarray(h_ref[node_ids]),
                     x_ref=np.ascontiguousarray(features[node_ids]),
-                    kb=kb,
-                    retrieval=(
-                        None
-                        if retrieval_index is None
-                        else retrieval_index.slice_for(node_ids)
-                    ),
                 )
             )
         # Per-shard score telemetry for the thread/inline paths (process
@@ -181,8 +143,8 @@ class ShardedKB:
             self.backend = "thread"
 
     def _build_pool(self) -> Optional[ShardWorkerPool]:
-        """Fork the long-lived shard workers, shipping each its pickled
-        shard (view + embedding slice + scorer state) once.  A startup
+        """Fork the long-lived shard workers, shipping each its shard
+        (embedding + feature slices and scorer state) once.  A startup
         failure — fork/resource errors, a worker dying in its handshake,
         an unpicklable payload — degrades to the thread backend instead
         of taking the service down."""
@@ -191,9 +153,7 @@ class ShardedKB:
 
         scorer = ScorerSpec.from_model(self.pipeline.model)
         # Arena mode publishes the matrices into shared memory and ships
-        # descriptors; workers score without the subgraph view, so the
-        # O(V+E) extraction (and its pickle bytes) is skipped entirely.
-        # The classic pickled path keeps shipping the view unchanged.
+        # descriptors; otherwise each payload is pickled whole.
         use_arena = self.storage.share_payloads and shared_memory_available()
         payloads = [
             ShardPayload(
@@ -203,12 +163,6 @@ class ShardedKB:
                 h_ref=shard.h_ref,
                 x_ref=shard.x_ref,
                 scorer=scorer,
-                view=None if use_arena else shard.view,
-                retrieval=(
-                    None
-                    if shard.retrieval is None
-                    else RetrievalSpec.from_index(shard.retrieval)
-                ),
             )
             for shard in self.shards
         ]
@@ -244,7 +198,7 @@ class ShardedKB:
     # ------------------------------------------------------------------
     def distribute(self, ref_embeddings: np.ndarray) -> None:
         """Re-slice a freshly computed full embedding matrix into the
-        shards (warm-start after a weight refresh; views are untouched).
+        shards (warm-start after a weight refresh).
         Live process workers receive their fresh slice plus the current
         matcher state over the pipe — no worker restart."""
         ref_embeddings = np.asarray(ref_embeddings)
@@ -268,8 +222,8 @@ class ShardedKB:
         ref_ids: np.ndarray,
         x_query: Optional[Tensor] = None,
     ) -> np.ndarray:
-        """Fan aligned (query node, global KB node) pairs out to the shard
-        workers and gather the scores back into input order.
+        """Fan aligned (query node, global KB node) pairs out to the shards
+        and gather the scores back into input order.
 
         Drop-in for the flat ``model.score_pairs(...).data`` call of the
         unsharded path; per-pair math makes the merge exact.
@@ -278,140 +232,58 @@ class ShardedKB:
         ref_ids = np.asarray(ref_ids, dtype=np.int64)
         if len(ref_ids) == 0:
             return np.zeros(0, dtype=np.float32)
+        # The chunk references only a handful of distinct query rows (one
+        # mention node per graph), so each job carries just those rows —
+        # remapped here — rather than the whole union embedding matrix.
+        # Row selection is exact, so scores are unchanged.
+        unique_ids, remapped = np.unique(query_ids, return_inverse=True)
+        h_q = h_query.data[unique_ids]
+        x_q = x_query.data[unique_ids] if x_query is not None else None
         owner = ref_ids % self.num_shards
-        tasks = []
+        positions: List[np.ndarray] = []
+        jobs: List[ScoreJob] = []
         for shard in self.shards:
-            positions = np.nonzero(owner == shard.index)[0]
-            if len(positions) == 0:
+            mine = np.nonzero(owner == shard.index)[0]
+            if len(mine) == 0:
                 continue
-            tasks.append((positions, shard, query_ids[positions], ref_ids[positions] // self.num_shards))
-
-        if self._pool is not None:
-            # Process fan-out: the chunk references only a handful of
-            # distinct query rows (one mention node per graph), so ship
-            # just those rows — remapped parent-side — rather than the
-            # whole union embedding matrix; each worker gathers and
-            # scores against its resident shard on a private GIL.  Row
-            # selection is exact, so scores are unchanged.
-            unique_ids, remapped = np.unique(query_ids, return_inverse=True)
-            h_q = h_query.data[unique_ids]
-            x_q = x_query.data[unique_ids] if x_query is not None else None
-            jobs = [
+            positions.append(mine)
+            jobs.append(
                 ScoreJob(
                     shard_index=shard.index,
                     h_query=h_q,
-                    query_ids=remapped[positions],
-                    ref_ids=local_ids,
+                    query_ids=remapped[mine],
+                    ref_ids=ref_ids[mine] // self.num_shards,
                     x_query=x_q,
                 )
-                for positions, shard, _, local_ids in tasks
-            ]
-            parts = list(
-                zip([positions for positions, *_ in tasks], self._pool.score_many(jobs))
             )
-        elif self._executor is None or len(tasks) <= 1:
-            parts = [
-                (positions, self._score_on_shard(shard, h_query, q_ids, local_ids, x_query))
-                for positions, shard, q_ids, local_ids in tasks
-            ]
+        if self._pool is not None:
+            parts = self._pool.score_many(jobs)
         else:
-            futures = [
-                (positions, self._executor.submit(
-                    self._score_on_shard, shard, h_query, q_ids, local_ids, x_query
-                ))
-                for positions, shard, q_ids, local_ids in tasks
-            ]
-            parts = [(positions, future.result()) for positions, future in futures]
-
-        out = np.empty(len(ref_ids), dtype=parts[0][1].dtype)
-        for positions, scores in parts:
-            out[positions] = scores
+            parts = self._score_in_process(jobs)
+        out = np.empty(len(ref_ids), dtype=parts[0].dtype)
+        for mine, scores in zip(positions, parts):
+            out[mine] = scores
         return out
 
-    def _score_on_shard(
-        self,
-        shard: KBShard,
-        h_query: Tensor,
-        query_ids: np.ndarray,
-        local_ids: np.ndarray,
-        x_query: Optional[Tensor],
-    ) -> np.ndarray:
-        t0 = perf_counter()
-        with no_grad():
-            scores = self.pipeline.model.score_pairs(
-                h_query,
-                query_ids,
-                Tensor(shard.h_ref),
-                local_ids,
-                x_query=x_query,
-                x_ref=Tensor(shard.x_ref),
-            ).data
-        with self._telemetry_lock:
-            self._shard_calls[shard.index] += 1
-            self._shard_seconds[shard.index] += perf_counter() - t0
-        return scores
-
-    def score_candidates(self, qg: QueryGraph, candidate_ids: np.ndarray) -> np.ndarray:
-        """Sharded equivalent of :meth:`EDPipeline.score_candidates`: one
-        query-graph forward, then candidate scoring fanned across shards."""
-        candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
+    def _score_in_process(self, jobs: List[ScoreJob]) -> List[np.ndarray]:
+        """Run jobs inline or on the thread pool, against the live model's
+        matcher, timing them as a worker process would."""
         model = self.pipeline.model
-        model.eval()
-        with no_grad():
-            compiled = model.compile(qg.graph)
-            x_qry = Tensor(qg.graph.features)
-            h_qry = model.embed(compiled, x_qry)
-        mention_ids = np.full(len(candidate_ids), qg.mention_node, dtype=np.int64)
-        return self.score_pairs_flat(h_qry, mention_ids, candidate_ids, x_query=x_qry)
+        scorer = (model.matcher, model.lexical_scale if model.config.lexical_skip else None)
 
-    # ------------------------------------------------------------------
-    # Candidate shortlisting
-    # ------------------------------------------------------------------
-    def candidates_for(
-        self, surface: str, query_vec: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Union of the shard-local retrieval shortlists for a surface.
+        def run(job: ScoreJob) -> Tuple[np.ndarray, float]:
+            shard = self.shards[job.shard_index]
+            return score_job(scorer, job, shard.h_ref, shard.x_ref)
 
-        Each shard's slice keeps global node ids and the full index's
-        global weights (idf/norms for n-gram, hyperplanes for LSH), so a
-        shard's local top-``shortlist`` is at least as deep as the global
-        ranking restricted to its nodes — the union is a superset of the
-        unsharded shortlist.  ``query_vec`` is the surface's embedder
-        vector; the LSH backend requires it on the process backend
-        (workers hold no embedder).  Returns sorted unique int64 ids.
-        """
-        shards = [shard for shard in self.shards if shard.retrieval is not None]
-        if not shards:
-            raise RuntimeError(
-                "ShardedKB was built without a retrieval index; "
-                "pass retrieval_index= to shard candidate shortlisting"
-            )
-        if query_vec is not None:
-            query_vec = np.ascontiguousarray(query_vec, dtype=np.float32)
-        if self._pool is not None:
-            jobs = [
-                CandidateJob(
-                    shard_index=shard.index, surface=surface, query_vec=query_vec
-                )
-                for shard in shards
-            ]
-            parts = self._pool.score_many(jobs)
-        elif self._executor is not None and len(shards) > 1:
-            futures = [
-                self._executor.submit(
-                    shard.retrieval.query, surface, query_vec=query_vec
-                )
-                for shard in shards
-            ]
-            parts = [future.result() for future in futures]
+        if self._executor is None or len(jobs) <= 1:
+            results = [run(job) for job in jobs]
         else:
-            parts = [
-                shard.retrieval.query(surface, query_vec=query_vec)
-                for shard in shards
-            ]
-        return np.unique(
-            np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
-        )
+            results = list(self._executor.map(run, jobs))
+        with self._telemetry_lock:
+            for job, (_, seconds) in zip(jobs, results):
+                self._shard_calls[job.shard_index] += 1
+                self._shard_seconds[job.shard_index] += seconds
+        return [scores for scores, _ in results]
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -33,7 +33,10 @@ class ServiceStats:
     cache_hits: int = 0
     cache_misses: int = 0
     batches: int = 0  # micro-batch forward passes
-    batch_sizes: List[int] = field(default_factory=list)
+    batched_mentions: int = 0  # lifetime sum of micro-batch sizes
+    largest_batch: int = 0  # lifetime max micro-batch size
+    # sizes of the most recent LATENCY_WINDOW micro-batches
+    batch_sizes: Deque[int] = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
     ref_refreshes: int = 0  # reference-embedding cache rebuilds
     compute_seconds: float = 0.0  # wall time inside batched forwards
     # Storage telemetry (repro.storage): which backend serves the KB
@@ -83,6 +86,8 @@ class ServiceStats:
 
     def record_batch(self, size: int, seconds: float) -> None:
         self.batches += 1
+        self.batched_mentions += size
+        self.largest_batch = max(self.largest_batch, size)
         self.batch_sizes.append(size)
         self.compute_seconds += seconds
 
@@ -174,17 +179,16 @@ class ServiceStats:
 
     @property
     def mean_batch_size(self) -> float:
-        return sum(self.batch_sizes) / len(self.batch_sizes) if self.batch_sizes else 0.0
+        return self.batched_mentions / self.batches if self.batches else 0.0
 
     @property
     def max_batch_size(self) -> int:
-        return max(self.batch_sizes) if self.batch_sizes else 0
+        return self.largest_batch
 
     @property
     def mentions_per_second(self) -> float:
         """Throughput of the compute path (cached hits cost ~nothing)."""
-        computed = sum(self.batch_sizes)
-        return computed / self.compute_seconds if self.compute_seconds > 0 else 0.0
+        return self.batched_mentions / self.compute_seconds if self.compute_seconds > 0 else 0.0
 
     def latency_percentile(self, p: float) -> float:
         """p-th percentile of request latency in ms over the most recent
@@ -395,7 +399,9 @@ class ServiceStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.batches = 0
-        self.batch_sizes = []
+        self.batched_mentions = 0
+        self.largest_batch = 0
+        self.batch_sizes = deque(maxlen=LATENCY_WINDOW)
         self.ref_refreshes = 0
         self.compute_seconds = 0.0
         self.storage_backend = "memory"

@@ -7,10 +7,9 @@ so N shards on threads buy little real parallelism.  This module moves
 each shard into its own long-lived worker **process**:
 
 * at startup every worker receives its :class:`ShardPayload` **once** —
-  either pickled whole (the shard-local :meth:`HeteroGraph.subgraph`
-  view, the ``h_ref``/``x_ref`` slices, and a :class:`ScorerSpec`
-  (matcher name + state dict + lexical-skip terms) it rebuilds into a
-  :class:`PairScorer`), or, with ``use_arena=True``, as a
+  either pickled whole (the ``h_ref``/``x_ref`` slices and a
+  :class:`ScorerSpec`: matcher name + state dict + lexical-skip terms,
+  rebuilt into a live matcher), or, with ``use_arena=True``, as a
   :class:`ShardPayloadHandle` of shared-memory descriptors — the
   matrices live in a parent-owned
   :class:`~repro.storage.arena.SharedMemoryArena` and the init message
@@ -18,14 +17,10 @@ each shard into its own long-lived worker **process**:
   ``payload_matrix_nbytes`` measures the gap); a ``distribute()`` then
   rewrites the segments in place instead of re-pickling slices per
   worker;
-* thereafter the pipe only carries compact score requests (the chunk's
-  query embedding matrix + aligned id arrays) and score replies, so the
-  steady-state IPC per micro-batch is a few KB while the per-shard
-  gather/matmul work runs on a private interpreter and GIL; a payload
-  may also carry a :class:`RetrievalSpec` — the shard's slice of the
-  sublinear candidate index (:mod:`repro.retrieval`) — and then
-  ``candidates`` requests (surface + query vector) fan shortlist lookups
-  across the same workers;
+* thereafter the pipe only carries :class:`ScoreJob` requests (the
+  chunk's distinct query rows + aligned id arrays) and score replies, so
+  the steady-state IPC per micro-batch is a few KB while the per-shard
+  gather/matmul work runs on a private interpreter and GIL;
 * :meth:`ShardWorkerPool.distribute` warm-starts live workers after a
   weight refresh (new embedding slice + new scorer state, no restart);
 * a crashed worker is respawned from its retained payload and the
@@ -34,9 +29,9 @@ each shard into its own long-lived worker **process**:
   injected deadline, unit-testable with a fake clock) before stopping
   the workers.
 
-Scoring is bit-identical to the in-process path: the worker replays the
-exact :meth:`EDGNN.score_pairs` op sequence (gather → matcher → lexical
-skip) on the same float32 inputs.
+Scoring is bit-identical to the in-process path: every backend runs a
+job through :func:`score_job`, which calls the model's own
+:func:`~repro.core.model.pair_logits` on the same float32 inputs.
 
 The pool prefers the ``fork`` start method (cheap, no re-import) and
 falls back to ``spawn``; :func:`resolve_shard_backend` downgrades a
@@ -57,18 +52,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..autograd import Tensor, enable_grad, gather, no_grad
-from ..autograd.ops import rows_dot
+from ..autograd import Module, Tensor, enable_grad, no_grad
 from ..core.matching import make_matcher
-from ..graph.hetero import HeteroGraph
-from ..retrieval.base import RetrievalConfig, RetrievalIndex, index_from_arrays
+from ..core.model import pair_logits
 from ..storage.arena import ArraySpec, SharedMemoryArena, attach_array
 
 __all__ = [
     "SHARD_BACKENDS",
-    "CandidateJob",
-    "PairScorer",
-    "RetrievalSpec",
+    "ScoreJob",
     "ScorerSpec",
     "ShardPayload",
     "ShardPayloadHandle",
@@ -76,6 +67,7 @@ __all__ = [
     "ShardWorkerPool",
     "default_shard_backend",
     "resolve_shard_backend",
+    "score_job",
 ]
 
 #: the ``ShardedKB`` execution backends a config may name
@@ -150,15 +142,20 @@ def resolve_shard_backend(requested: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 # Worker-side scoring
 # ---------------------------------------------------------------------------
+#: ``(matcher, lexical scale or None)`` — the model half of
+#: :func:`~repro.core.model.pair_logits`'s arguments
+Scorer = Tuple[Module, Optional[Tensor]]
+
+
 @dataclass
 class ScorerSpec:
     """Picklable recipe for the pair-scoring math of an ``EDGNN``.
 
     The live model is not shipped (tensors on an autograd tape may hold
     unpicklable backward closures); instead the worker rebuilds the
-    matcher from its name + state dict and replays the exact
-    :meth:`EDGNN.score_pairs` op sequence, so worker scores are
-    bit-identical to the parent's.
+    matcher from its name + state dict and scores through the same
+    :func:`~repro.core.model.pair_logits` as the parent, so worker scores
+    are bit-identical to the parent's.
     """
 
     matcher_name: str
@@ -177,7 +174,7 @@ class ScorerSpec:
             lexical_scale=model.lexical_scale.data.copy(),
         )
 
-    def build(self) -> "PairScorer":
+    def build(self) -> Scorer:
         # Parameter construction must see tape recording enabled: a
         # worker respawned mid-batch is forked from a parent thread
         # inside no_grad, and tensors created with recording off drop
@@ -189,98 +186,47 @@ class ScorerSpec:
             )
             matcher.load_state_dict(self.state)
         matcher.eval()
-        return PairScorer(matcher, self.lexical_skip, self.lexical_scale)
-
-
-class PairScorer:
-    """Worker-side replica of :meth:`EDGNN.score_pairs` over shard-local
-    reference rows."""
-
-    def __init__(self, matcher, lexical_skip: bool, lexical_scale: np.ndarray):
-        self.matcher = matcher
-        self.lexical_skip = lexical_skip
-        self.lexical_scale = lexical_scale
-
-    def score(
-        self,
-        h_query: np.ndarray,
-        query_ids: np.ndarray,
-        h_ref: np.ndarray,
-        ref_ids: np.ndarray,
-        x_query: Optional[np.ndarray],
-        x_ref: Optional[np.ndarray],
-    ) -> np.ndarray:
-        query_ids = np.asarray(query_ids, dtype=np.int64)
-        ref_ids = np.asarray(ref_ids, dtype=np.int64)
-        with no_grad():
-            logits = self.matcher(
-                gather(Tensor(h_query), query_ids), gather(Tensor(h_ref), ref_ids)
-            )
-            if self.lexical_skip and x_query is not None and x_ref is not None:
-                lexical = rows_dot(
-                    gather(Tensor(x_query), query_ids), gather(Tensor(x_ref), ref_ids)
-                )
-                logits = logits + lexical * Tensor(self.lexical_scale)
-            return logits.data
+        return matcher, Tensor(self.lexical_scale) if self.lexical_skip else None
 
 
 @dataclass
-class RetrievalSpec:
-    """Picklable recipe for a shard-local retrieval index slice.
+class ScoreJob:
+    """One shard's slice of a fan-out: score ``ref_ids`` (shard-local)
+    against rows ``query_ids`` of the chunk's query matrices."""
 
-    The live :class:`~repro.retrieval.base.RetrievalIndex` is not shipped
-    (an LSH slice may hold an embedder, and a packed index may wrap
-    memory-mapped views); instead the worker rebuilds the slice from its
-    flat arrays via :func:`~repro.retrieval.base.index_from_arrays`.  With
-    an arena, ``arrays`` carries :class:`ArraySpec` descriptors instead of
-    the arrays themselves — the worker maps the parent-owned segments
-    read-only, so N workers share one copy of the postings/signatures.
+    shard_index: int
+    h_query: np.ndarray
+    query_ids: np.ndarray
+    ref_ids: np.ndarray
+    x_query: Optional[np.ndarray] = None
 
-    Workers never embed: candidate requests carry the query vector (the
-    LSH backend needs it; the n-gram backend queries by surface alone).
-    """
 
-    backend: str
-    config: dict  # RetrievalConfig kwargs (JSON-compatible)
-    params: dict
-    arrays: Dict[str, Union[np.ndarray, ArraySpec]]
-
-    @classmethod
-    def from_index(cls, index: RetrievalIndex) -> "RetrievalSpec":
-        return cls(
-            backend=index.backend,
-            config=index.config.to_dict(),
-            params=index.params(),
-            arrays=dict(index.arrays()),
-        )
-
-    def build(self, segments: Optional[list] = None) -> RetrievalIndex:
-        arrays: Dict[str, np.ndarray] = {}
-        for name, value in self.arrays.items():
-            if isinstance(value, ArraySpec):
-                array, segment = attach_array(value)
-                if segments is not None:
-                    segments.append(segment)
-                arrays[name] = array
-            else:
-                arrays[name] = value
-        return index_from_arrays(
-            self.backend, RetrievalConfig(**self.config), self.params, arrays
-        )
+def score_job(
+    scorer: Scorer, job: ScoreJob, h_ref: np.ndarray, x_ref: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """Score one job against a shard's reference rows; returns the scores
+    and the seconds spent.  Every shard backend (inline, thread, worker
+    process) runs a fan-out through this one function."""
+    t0 = time.perf_counter()
+    matcher, lexical_scale = scorer
+    x_query = None if job.x_query is None else Tensor(job.x_query)
+    with no_grad():
+        scores = pair_logits(
+            matcher,
+            lexical_scale,
+            Tensor(job.h_query),
+            job.query_ids,
+            Tensor(h_ref),
+            job.ref_ids,
+            x_query=x_query,
+            x_ref=Tensor(x_ref),
+        ).data
+    return scores, time.perf_counter() - t0
 
 
 @dataclass
 class ShardPayload:
-    """Everything a worker needs, shipped exactly once at (re)spawn.
-
-    ``view`` is the shard-local induced subgraph — the worker does not
-    need it for pair scoring (the parent ships embeddings), but it gives
-    a future worker-side re-embedding path the full node/edge context,
-    and it makes the payload self-describing for debugging.  ``retrieval``
-    is the shard's slice of the sublinear candidate index (when the
-    serving layer has one), so candidate shortlisting can fan out across
-    the same workers as pair scoring.
-    """
+    """Everything a worker needs, shipped exactly once at (re)spawn."""
 
     index: int
     num_shards: int
@@ -288,8 +234,6 @@ class ShardPayload:
     h_ref: np.ndarray
     x_ref: np.ndarray
     scorer: ScorerSpec
-    view: Optional[HeteroGraph] = None
-    retrieval: Optional[RetrievalSpec] = None
 
 
 @dataclass
@@ -308,14 +252,13 @@ class ShardPayloadHandle:
     x_ref: ArraySpec
     scorer: ScorerSpec
     version: int = 0  # arena publish version at ship time
-    retrieval: Optional[RetrievalSpec] = None  # arrays as ArraySpec descriptors
 
 
 def _worker_main(connection) -> None:  # pragma: no cover - subprocess body
     """Long-lived worker loop: one ``init``, then score/refresh/stop.
 
     Runs in the child process (excluded from parent coverage; the scoring
-    math itself is covered in-parent through :class:`PairScorer`).
+    math itself is covered in-parent through :func:`score_job`).
     """
     kind, payload = connection.recv()
     assert kind == "init"
@@ -329,9 +272,6 @@ def _worker_main(connection) -> None:  # pragma: no cover - subprocess body
         h_ref = payload.h_ref
         x_ref = payload.x_ref
     scorer = payload.scorer.build()
-    retrieval = (
-        payload.retrieval.build(segments) if payload.retrieval is not None else None
-    )
     connection.send(("ready", payload.index))
     while True:
         try:
@@ -353,26 +293,13 @@ def _worker_main(connection) -> None:  # pragma: no cover - subprocess body
             connection.send(("refreshed", payload.index))
             continue
         if kind == "score":
-            _, seq, h_query, x_query, query_ids, ref_ids = message
+            _, seq, job = message
             try:
                 # The elapsed seconds ride on the reply so the parent can
                 # attribute wall time to this shard without guessing from
                 # its own (gather-serialised) clock.
-                t0 = time.perf_counter()
-                scores = scorer.score(h_query, query_ids, h_ref, ref_ids, x_query, x_ref)
-                connection.send(("ok", seq, scores, time.perf_counter() - t0))
-            except Exception as exc:
-                connection.send(("err", seq, f"{type(exc).__name__}: {exc}"))
-            continue
-        if kind == "candidates":
-            _, seq, surface, query_vec = message
-            try:
-                t0 = time.perf_counter()
-                if retrieval is None:
-                    ids = np.zeros(0, dtype=np.int64)
-                else:
-                    ids = retrieval.query(surface, query_vec=query_vec)
-                connection.send(("ok", seq, ids, time.perf_counter() - t0))
+                scores, seconds = score_job(scorer, job, h_ref, x_ref)
+                connection.send(("ok", seq, scores, seconds))
             except Exception as exc:
                 connection.send(("err", seq, f"{type(exc).__name__}: {exc}"))
             continue
@@ -387,31 +314,6 @@ class _WorkerHandle:
     process: object
     connection: object
     broken: bool = False
-
-
-@dataclass
-class ScoreJob:
-    """One shard's slice of a fan-out: score ``ref_ids`` (shard-local)
-    against rows ``query_ids`` of the chunk's query matrices."""
-
-    shard_index: int
-    h_query: np.ndarray
-    query_ids: np.ndarray
-    ref_ids: np.ndarray
-    x_query: Optional[np.ndarray] = None
-
-
-@dataclass
-class CandidateJob:
-    """One shard's slice of a candidate fan-out: query the shard-local
-    retrieval index for a surface form.  ``query_vec`` is the surface's
-    embedder vector, computed once in the parent (workers hold no
-    embedder; the LSH backend needs the vector, the n-gram backend
-    queries by surface alone).  The reply carries *global* node ids."""
-
-    shard_index: int
-    surface: str
-    query_vec: Optional[np.ndarray] = None
 
 
 class ShardWorkerPool:
@@ -471,13 +373,6 @@ class ShardWorkerPool:
                     self._arena.publish(f"{payload.index}:node_ids", payload.node_ids)
                     self._arena.publish(f"{payload.index}:h_ref", payload.h_ref)
                     self._arena.publish(f"{payload.index}:x_ref", payload.x_ref)
-                    if payload.retrieval is not None:
-                        # Postings/signature arrays are read-only at query
-                        # time, so N workers share the parent's one copy.
-                        for name, array in payload.retrieval.arrays.items():
-                            self._arena.publish(
-                                f"{payload.index}:retrieval:{name}", array
-                            )
             for index in range(len(payloads)):
                 self._workers.append(self._spawn(index))
         except BaseException:
@@ -505,17 +400,6 @@ class ShardWorkerPool:
         payload = self._payloads[index]
         if self._arena is None:
             return payload
-        retrieval = payload.retrieval
-        if retrieval is not None:
-            retrieval = RetrievalSpec(
-                backend=retrieval.backend,
-                config=retrieval.config,
-                params=retrieval.params,
-                arrays={
-                    name: self._arena.spec(f"{payload.index}:retrieval:{name}")
-                    for name in retrieval.arrays
-                },
-            )
         return ShardPayloadHandle(
             index=payload.index,
             num_shards=payload.num_shards,
@@ -524,7 +408,6 @@ class ShardWorkerPool:
             x_ref=self._arena.spec(f"{payload.index}:x_ref"),
             scorer=payload.scorer,
             version=self._arena.version,
-            retrieval=retrieval,
         )
 
     def _ship(self, connection, message: tuple) -> None:
@@ -680,18 +563,13 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def score_many(
-        self, jobs: Sequence[Union[ScoreJob, CandidateJob]]
-    ) -> List[np.ndarray]:
+    def score_many(self, jobs: Sequence[ScoreJob]) -> List[np.ndarray]:
         """Run every job, overlapping the shard workers.
 
         Requests are written to all target workers first, then replies
         are gathered, so distinct shards compute concurrently.  A worker
         that crashed mid-batch is respawned from its retained payload and
-        its request is retried.  Jobs may mix pair scoring
-        (:class:`ScoreJob`) and candidate shortlisting
-        (:class:`CandidateJob`); both follow the same seq-matched
-        request/reply protocol.
+        its request is retried.
         """
         self._begin()
         try:
@@ -700,9 +578,7 @@ class ShardWorkerPool:
         finally:
             self._end()
 
-    def _score_many_locked(
-        self, jobs: Sequence[Union[ScoreJob, CandidateJob]]
-    ) -> List[np.ndarray]:
+    def _score_many_locked(self, jobs: Sequence[ScoreJob]) -> List[np.ndarray]:
         results: List[Optional[np.ndarray]] = [None] * len(jobs)
         sent: List[Tuple[int, int]] = []  # (job position, seq)
         retry: List[int] = []
@@ -715,7 +591,7 @@ class ShardWorkerPool:
             worker = self._workers[job.shard_index]
             seq = self._next_seq()
             try:
-                worker.connection.send(self._score_message(seq, job))
+                worker.connection.send(("score", seq, job))
                 sent.append((position, seq))
             except (BrokenPipeError, OSError):
                 worker.broken = True
@@ -754,14 +630,14 @@ class ShardWorkerPool:
             results[position] = self._retry_job(jobs[position])
         return results  # type: ignore[return-value]
 
-    def _retry_job(self, job: Union[ScoreJob, CandidateJob]) -> np.ndarray:
+    def _retry_job(self, job: ScoreJob) -> np.ndarray:
         """Respawn the job's (crashed) worker and replay the request."""
         for attempt in range(self.max_respawns):
             self._respawn(job.shard_index)
             worker = self._workers[job.shard_index]
             seq = self._next_seq()
             try:
-                worker.connection.send(self._score_message(seq, job))
+                worker.connection.send(("score", seq, job))
                 reply = worker.connection.recv()
                 result = self._parse_reply(reply, seq)
                 self._note_shard(job.shard_index, reply)
@@ -779,12 +655,6 @@ class ShardWorkerPool:
         if len(reply) > 3 and isinstance(reply[3], float):
             self.shard_calls[shard_index] += 1
             self.shard_seconds[shard_index] += reply[3]
-
-    @staticmethod
-    def _score_message(seq: int, job: Union[ScoreJob, CandidateJob]) -> tuple:
-        if isinstance(job, CandidateJob):
-            return ("candidates", seq, job.surface, job.query_vec)
-        return ("score", seq, job.h_query, job.x_query, job.query_ids, job.ref_ids)
 
     @staticmethod
     def _parse_reply(reply: tuple, seq: int) -> np.ndarray:

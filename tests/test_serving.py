@@ -13,7 +13,8 @@ import pytest
 from repro.core import EDPipeline, ModelConfig, TrainConfig, make_matcher
 from repro.autograd import Tensor
 from repro.datasets import load_dataset
-from repro.serving import LinkingService, LRUCache, ServiceConfig
+from repro.serving import LinkingService, LRUCache, ServiceConfig, ServiceStats
+from repro.serving.stats import LATENCY_WINDOW
 from repro.storage import StorageConfig
 from repro.text.corpus import Snippet
 
@@ -61,7 +62,7 @@ class TestEquivalence:
         service = LinkingService(pipeline, ServiceConfig(max_batch_size=4, cache_size=0))
         assert_equivalent(service, pipeline, dataset.test[:7])
         assert service.stats.batches == 2
-        assert service.stats.batch_sizes == [4, 3]
+        assert list(service.stats.batch_sizes) == [4, 3]
 
     def test_equivalence_with_cache_enabled(self, pipeline, dataset):
         service = LinkingService(pipeline, ServiceConfig(max_batch_size=8, cache_size=512))
@@ -129,7 +130,7 @@ class TestResultCache:
         first, second, third = service.link_batch([snippet] * 3)
         assert service.stats.cache_hits == 2
         assert service.stats.cache_misses == 1
-        assert service.stats.batch_sizes == [1]  # duplicates never scored
+        assert list(service.stats.batch_sizes) == [1]  # duplicates never scored
         assert first.ranked_entities == second.ranked_entities == third.ranked_entities
         assert first.scores == second.scores == third.scores
         assert_equivalent(service, pipeline, [snippet])
@@ -186,7 +187,7 @@ class TestResultCache:
         results = service.link_batch([a, a, b])
         assert service.stats.cache_hits == 0
         assert service.stats.cache_misses == 3
-        assert service.stats.batch_sizes == [2, 1]
+        assert list(service.stats.batch_sizes) == [2, 1]
         assert results[0].ranked_entities == results[1].ranked_entities
         assert_equivalent(service, pipeline, [a, b])
 
@@ -252,7 +253,21 @@ class TestStats:
         assert payload["cache_hit_rate"] == 0.0
         assert "mentions_per_second" in stats.format()
         stats.reset()
-        assert stats.mentions == 0 and stats.batch_sizes == []
+        assert stats.mentions == 0 and list(stats.batch_sizes) == []
+
+    def test_batch_sizes_are_bounded_with_lifetime_aggregates(self):
+        # A long-lived service records a batch per flush: the recent-size
+        # window stays bounded while mean/max keep their lifetime meaning
+        # (the largest batch lands first, so it is evicted from the window).
+        stats = ServiceStats()
+        sizes = [97] + [i % 7 + 1 for i in range(LATENCY_WINDOW + 9)]
+        for size in sizes:
+            stats.record_batch(size, 0.001)
+        assert len(stats.batch_sizes) == LATENCY_WINDOW
+        assert list(stats.batch_sizes) == sizes[-LATENCY_WINDOW:]
+        assert stats.batches == len(sizes)
+        assert stats.mean_batch_size == sum(sizes) / len(sizes)
+        assert stats.max_batch_size == 97
 
     def test_hit_rate(self, pipeline, dataset):
         service = LinkingService(pipeline, ServiceConfig(cache_size=512))

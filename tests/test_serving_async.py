@@ -19,7 +19,10 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.autograd import Tensor, no_grad
 from repro.core import EDPipeline, ModelConfig, TrainConfig
 from repro.datasets import load_dataset
 from repro.graph.batch import batch_graphs
@@ -61,6 +64,33 @@ def pipeline(dataset):
 @pytest.fixture(scope="module")
 def sequential(pipeline, dataset):
     return [pipeline.disambiguate_snippet(s) for s in dataset.test]
+
+
+def embedded_pairs(pipeline, qg, candidates):
+    """Embed one query graph once and pair its mention node with every
+    candidate: the ``(h_query, query_ids, ref_ids, x_query)`` arguments
+    both ``model.score_pairs`` and ``ShardedKB.score_pairs_flat`` take."""
+    model = pipeline.model
+    model.eval()
+    with no_grad():
+        x_query = Tensor(qg.graph.features)
+        h_query = model.embed(model.compile(qg.graph), x_query)
+    ref_ids = np.asarray(candidates, dtype=np.int64)
+    query_ids = np.full(len(ref_ids), qg.mention_node, dtype=np.int64)
+    return h_query, query_ids, ref_ids, x_query
+
+
+def unsharded_scores(pipeline, h_query, query_ids, ref_ids, x_query):
+    """The reference: ``model.score_pairs`` against the whole KB."""
+    with no_grad():
+        return pipeline.model.score_pairs(
+            h_query,
+            query_ids,
+            Tensor(pipeline.ref_embeddings()),
+            ref_ids,
+            x_query=x_query,
+            x_ref=Tensor(pipeline.kb.features),
+        ).data
 
 
 def request_at(now: float, payload=None) -> QueuedRequest:
@@ -146,7 +176,7 @@ class TestShardedKB:
         assert np.array_equal(ids, np.arange(dataset.kb.num_nodes))
         for shard in sharded.shards:
             assert np.all(shard.node_ids % 3 == shard.index)
-            assert shard.view.num_nodes == len(shard.node_ids)
+            assert dataset.kb.subgraph(shard.node_ids).num_nodes == len(shard.node_ids)
             assert shard.h_ref.shape[0] == shard.x_ref.shape[0] == len(shard.node_ids)
         sharded.close()
 
@@ -159,15 +189,16 @@ class TestShardedKB:
         sharded.close()
 
     def test_views_reassemble_via_splice(self, pipeline, dataset):
-        # Shard views are subgraph extractions; batch_graphs splices them
+        # Subgraphs over the shards' node ids; batch_graphs splices them
         # back into one disjoint union covering every KB node and all
         # shard-internal edges.
         sharded = ShardedKB(pipeline, 4)
-        union, offsets = batch_graphs([s.view for s in sharded.shards])
+        views = [dataset.kb.subgraph(s.node_ids) for s in sharded.shards]
+        union, offsets = batch_graphs(views)
         assert union.num_nodes == dataset.kb.num_nodes
-        assert offsets == list(np.cumsum([0] + [s.view.num_nodes for s in sharded.shards[:-1]]))
+        assert offsets == list(np.cumsum([0] + [v.num_nodes for v in views[:-1]]))
         names = {union.node_name(offsets[i] + j)
-                 for i, s in enumerate(sharded.shards) for j in range(s.view.num_nodes)}
+                 for i, v in enumerate(views) for j in range(v.num_nodes)}
         assert names == set(dataset.kb.node_names)
         sharded.close()
 
@@ -193,25 +224,12 @@ class TestShardedKB:
             candidates = pipeline.candidate_ids(
                 qg.mention_surface, category=snippet.ambiguous_mention.category
             )
-            expected = pipeline.score_candidates(qg, candidates)
-            assert np.array_equal(expected, sharded.score_candidates(qg, candidates))
-        sharded.close()
-
-    def test_score_candidates_ref_override(self, pipeline, dataset):
-        # A shard scored through the staged pipeline API (local ids +
-        # shard-local ref rows) matches the full-KB call.
-        sharded = ShardedKB(pipeline, 2)
-        shard = sharded.shards[1]
-        qg = pipeline.build_query_graph_for(dataset.test[0])
-        some_globals = shard.node_ids[:5]
-        expected = pipeline.score_candidates(qg, some_globals)
-        local = some_globals // 2
-        actual = pipeline.score_candidates(
-            qg, local, ref_embeddings=shard.h_ref, ref_features=shard.x_ref
-        )
-        assert np.array_equal(expected, actual)
-        with pytest.raises(ValueError):
-            pipeline.score_candidates(qg, local, ref_embeddings=shard.h_ref)
+            h_query, query_ids, ref_ids, x_query = embedded_pairs(pipeline, qg, candidates)
+            expected = unsharded_scores(pipeline, h_query, query_ids, ref_ids, x_query)
+            actual = sharded.score_pairs_flat(h_query, query_ids, ref_ids, x_query=x_query)
+            assert np.array_equal(expected, actual)
+            # The staged pipeline API is the same math.
+            assert np.array_equal(expected, pipeline.score_candidates(qg, candidates))
         sharded.close()
 
     def test_distribute_refreshes_embeddings(self, pipeline):
@@ -229,6 +247,62 @@ class TestShardedKB:
             ShardedKB(pipeline, 0)
         with pytest.raises(ValueError):
             ServiceConfig(num_shards=0)
+
+
+@pytest.fixture(scope="module")
+def query_union(pipeline, dataset):
+    """Several test query graphs embedded as one disjoint union: a query
+    matrix with many distinct rows for pair lists to draw from."""
+    graphs = [pipeline.build_query_graph_for(s).graph for s in dataset.test[:4]]
+    union, _ = batch_graphs(graphs)
+    model = pipeline.model
+    model.eval()
+    with no_grad():
+        x_query = Tensor(union.features)
+        h_query = model.embed(model.compile(union), x_query)
+    return h_query, x_query
+
+
+@pytest.fixture(scope="module")
+def sharded_by_count(pipeline):
+    """One ``ShardedKB`` per shard count 1-5 on the environment's default
+    backend (the CI shard matrix forces threads or processes)."""
+    backends = {n: ShardedKB(pipeline, n) for n in range(1, 6)}
+    yield backends
+    for backend in backends.values():
+        backend.close()
+
+
+class TestShardedScoringProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_flat_scores_equal_unsharded(
+        self, pipeline, query_union, sharded_by_count, data
+    ):
+        # Any aligned pair list — repeated query rows and KB ids, the empty
+        # list, shards that own no pair — scores bit-identically to the
+        # unsharded model.score_pairs call.
+        h_query, x_query = query_union
+        num_shards = data.draw(st.integers(1, 5), label="num_shards")
+        num_rows = h_query.data.shape[0]
+        num_nodes = pipeline.kb.num_nodes
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, num_rows - 1), st.integers(0, num_nodes - 1)),
+                max_size=48,
+            ),
+            label="pairs",
+        )
+        if data.draw(st.booleans(), label="one_owner"):
+            # Route every pair to shard 0, leaving the others idle.
+            pairs = [(q, r - r % num_shards) for q, r in pairs]
+        query_ids = np.array([q for q, _ in pairs], dtype=np.int64)
+        ref_ids = np.array([r for _, r in pairs], dtype=np.int64)
+        expected = unsharded_scores(pipeline, h_query, query_ids, ref_ids, x_query)
+        actual = sharded_by_count[num_shards].score_pairs_flat(
+            h_query, query_ids, ref_ids, x_query=x_query
+        )
+        assert np.array_equal(expected, actual)
 
 
 class TestShardedService:

@@ -1,7 +1,8 @@
 """Tests for the process-based shard workers (repro.serving.workers).
 
-Covers the picklable scorer replica (bit-identical to the in-process
-``EDGNN.score_pairs``), backend resolution (env default, platform
+Covers the picklable scorer recipe (a rebuilt matcher scores through the
+shared ``pair_logits`` bit-identically to ``EDGNN.score_pairs``), backend
+resolution (env default, platform
 fallback), the worker pool's crash -> respawn-and-retry path with a real
 SIGKILL mid-batch, warm-start distribution to live workers, and the
 fake-clock drain contract of ``close()``.
@@ -16,7 +17,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor, no_grad
 from repro.core import EDPipeline, ModelConfig, TrainConfig
+from repro.core.model import pair_logits
 from repro.datasets import load_dataset
 from repro.serving import ShardedKB, ShardWorkerError
 from repro.serving.workers import (
@@ -56,11 +59,38 @@ def sharded(pipeline):
 
 
 def scoring_inputs(pipeline, snippet):
+    """Embed one snippet's query graph once and pair its mention node with
+    every candidate: ``(h_query, query_ids, ref_ids, x_query)``."""
     qg = pipeline.build_query_graph_for(snippet)
     candidates = pipeline.candidate_ids(
         qg.mention_surface, category=snippet.ambiguous_mention.category
     )
-    return qg, candidates
+    model = pipeline.model
+    model.eval()
+    with no_grad():
+        x_query = Tensor(qg.graph.features)
+        h_query = model.embed(model.compile(qg.graph), x_query)
+    ref_ids = np.asarray(candidates, dtype=np.int64)
+    query_ids = np.full(len(ref_ids), qg.mention_node, dtype=np.int64)
+    return h_query, query_ids, ref_ids, x_query
+
+
+def unsharded_scores(pipeline, h_query, query_ids, ref_ids, x_query):
+    """The reference: ``model.score_pairs`` against the whole KB."""
+    with no_grad():
+        return pipeline.model.score_pairs(
+            h_query,
+            query_ids,
+            Tensor(pipeline.ref_embeddings()),
+            ref_ids,
+            x_query=x_query,
+            x_ref=Tensor(pipeline.kb.features),
+        ).data
+
+
+def flat_scores(sharded, inputs):
+    h_query, query_ids, ref_ids, x_query = inputs
+    return sharded.score_pairs_flat(h_query, query_ids, ref_ids, x_query=x_query)
 
 
 class TestBackendResolution:
@@ -96,30 +126,23 @@ class TestBackendResolution:
 
 class TestScorerSpec:
     def test_pickle_round_trip_scores_bit_identical(self, pipeline, dataset):
-        # The worker-side replica must replay EDGNN.score_pairs exactly:
-        # same float32 inputs through the same op sequence.
-        model = pipeline.model
-        spec = pickle.loads(pickle.dumps(ScorerSpec.from_model(model)))
-        scorer = spec.build()
-        qg, candidates = scoring_inputs(pipeline, dataset.test[0])
-        expected = pipeline.score_candidates(qg, candidates)
-
-        from repro.autograd import Tensor, no_grad
-
-        model.eval()
+        # A worker's matcher, rebuilt from the pickled spec, must score
+        # through the shared pair_logits exactly as EDGNN.score_pairs does.
+        spec = pickle.loads(pickle.dumps(ScorerSpec.from_model(pipeline.model)))
+        matcher, lexical_scale = spec.build()
+        h_query, query_ids, ref_ids, x_query = scoring_inputs(pipeline, dataset.test[0])
+        expected = unsharded_scores(pipeline, h_query, query_ids, ref_ids, x_query)
         with no_grad():
-            compiled = model.compile(qg.graph)
-            x_qry = qg.graph.features
-            h_qry = model.embed(compiled, Tensor(x_qry)).data
-        query_ids = np.full(len(candidates), qg.mention_node, dtype=np.int64)
-        actual = scorer.score(
-            h_qry,
-            query_ids,
-            pipeline.ref_embeddings(),
-            np.asarray(candidates, dtype=np.int64),
-            x_qry,
-            dataset.kb.features,
-        )
+            actual = pair_logits(
+                matcher,
+                lexical_scale,
+                h_query,
+                query_ids,
+                Tensor(pipeline.ref_embeddings()),
+                ref_ids,
+                x_query=x_query,
+                x_ref=Tensor(dataset.kb.features),
+            ).data
         assert np.array_equal(expected, actual)
 
     def test_spec_snapshots_matcher_state(self, pipeline):
@@ -137,10 +160,9 @@ class TestShardWorkerPool:
         thread_backend = ShardedKB(pipeline, 2, backend="thread")
         try:
             for snippet in dataset.test[:3]:
-                qg, candidates = scoring_inputs(pipeline, snippet)
+                inputs = scoring_inputs(pipeline, snippet)
                 assert np.array_equal(
-                    thread_backend.score_candidates(qg, candidates),
-                    sharded.score_candidates(qg, candidates),
+                    flat_scores(thread_backend, inputs), flat_scores(sharded, inputs)
                 )
         finally:
             thread_backend.close()
@@ -151,14 +173,14 @@ class TestShardWorkerPool:
         # Crash recovery: SIGKILL one worker, then score — the pool must
         # respawn it from the retained payload, replay the in-flight
         # request, and return the exact same scores as before the crash.
-        qg, candidates = scoring_inputs(pipeline, dataset.test[0])
-        before = sharded.score_candidates(qg, candidates)
+        inputs = scoring_inputs(pipeline, dataset.test[0])
+        before = flat_scores(sharded, inputs)
         pool = sharded.worker_pool
         victim = pool.processes[0]
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=5.0)
         assert not victim.is_alive()
-        after = sharded.score_candidates(qg, candidates)
+        after = flat_scores(sharded, inputs)
         assert np.array_equal(before, after)
         assert pool.respawns >= 1
         assert all(pool.alive())
@@ -214,10 +236,9 @@ class TestShardWorkerPool:
             pool.score_many(jobs)
         # The pool stays request/reply-synchronized: full scoring through
         # the ShardedKB still matches the in-process path exactly.
-        qg, candidates = scoring_inputs(pipeline, dataset.test[0])
+        inputs = scoring_inputs(pipeline, dataset.test[0])
         assert np.array_equal(
-            pipeline.score_candidates(qg, candidates),
-            sharded.score_candidates(qg, candidates),
+            unsharded_scores(pipeline, *inputs), flat_scores(sharded, inputs)
         )
         assert all(pool.alive())
 
@@ -227,7 +248,6 @@ class TestShardWorkerPool:
         # Warm-start refresh: perturb the weights, re-embed, distribute —
         # the live workers must score with the *new* embeddings and the
         # *new* matcher state, bit-identically to the in-process path.
-        qg, candidates = scoring_inputs(pipeline, dataset.test[0])
         pids = [process.pid for process in sharded.worker_pool.processes]
         param = pipeline.model.parameters()[-1]
         original = param.data.copy()
@@ -235,8 +255,11 @@ class TestShardWorkerPool:
             param.data = param.data + 0.25
             pipeline.invalidate_ref_cache()
             sharded.distribute(pipeline.ref_embeddings())
-            expected = pipeline.score_candidates(qg, candidates)
-            assert np.array_equal(expected, sharded.score_candidates(qg, candidates))
+            # The query side is re-embedded under the perturbed weights too.
+            inputs = scoring_inputs(pipeline, dataset.test[0])
+            assert np.array_equal(
+                unsharded_scores(pipeline, *inputs), flat_scores(sharded, inputs)
+            )
             # Same long-lived workers, no restart.
             assert [p.pid for p in sharded.worker_pool.processes] == pids
         finally:
