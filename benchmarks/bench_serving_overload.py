@@ -1,7 +1,7 @@
 """Overload protection: load shedding holds the latency contract at 2x capacity.
 
 Trains one small ED-GNN, measures the synchronous batched service's
-capacity, then drives the deadline scheduler at ~2x that capacity —
+capacity, then drives the async scheduler at ~2x that capacity —
 arrivals faster than the service can drain, the regime where an
 unbounded queue turns every request into a timeout.  Three legs:
 
@@ -16,9 +16,10 @@ unbounded queue turns every request into a timeout.  Three legs:
   slack, and that every admitted ranking is identical to the sequential
   ``EDPipeline.disambiguate_snippet`` baseline;
 * **adaptive** (``adaptive=True``): same drive with the AIMD tuner
-  closing the loop; reports how far the deadline/batch policy backed
-  off and how many adjustments it took (no hard guard — policy motion
-  is hardware-dependent).
+  closing the loop; reports how far the tuner backed its deadline and
+  batch size off and how many adjustments it took (no hard guard —
+  policy motion is hardware-dependent).  Only the batch size drives
+  the work-conserving scheduler; the deadline figure drives nothing.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving_overload.py
       [--smoke] [--batch-size 32] [--deadline-ms 50] [--shards 1]

@@ -43,7 +43,7 @@ def main() -> None:
     print(f"trained: test F1 {result.test.f1:.3f}")
 
     # 2. One call starts the network front door: an asyncio HTTP server
-    #    over the deadline-aware async service.  Port 0 binds an
+    #    over the work-conserving async service.  Port 0 binds an
     #    ephemeral port; the real one is read back from `server.port`.
     server = linker.serve(http_port=0)
     print(f"serving on http://{server.host}:{server.port}")
@@ -85,17 +85,16 @@ def main() -> None:
     print("server drained and closed")
 
     # 8. Overload protection: the same front door with admission control
-    #    on.  A deliberately tiny queue (and a deadline too long to
-    #    flush behind) makes the shed deterministic: a burst of three
-    #    items overflows the normal-priority depth budget, the whole
-    #    request is answered 429 with a Retry-After hint, and the
-    #    counters land in /stats and the Prometheus rendering.  In
+    #    on.  A deliberately tiny queue makes the shed deterministic: a
+    #    burst of three items overflows the normal-priority depth budget
+    #    (a batch is admitted all or nothing), the whole request is
+    #    answered 429 with a Retry-After hint, and the counters land in
+    #    /stats and the Prometheus rendering.  In
     #    production you would size max_queue realistically (or use
     #    shed_policy="wait" to shed on estimated queue wait) and wrap
     #    bursty callers in repro.serving.retry_overloaded.
     server = linker.serve(
         http_port=0,
-        deadline_ms=60_000.0,
         admission={"shed_policy": "depth", "max_queue": 2},
     )
     try:

@@ -4,7 +4,7 @@ Builds a small ED-GNN from a declarative :class:`repro.api.LinkerConfig`
 (the service section included), trains it, links the test split through
 the batched :class:`repro.serving.LinkingService`, replays it to show
 the LRU result cache, saves a self-describing checkpoint, then serves
-the same stream through the deadline-aware
+the same stream through the work-conserving
 :class:`repro.serving.AsyncLinkingService` with KB sharding on
 **process-backed shard workers** (``shard_backend="process"`` — one GIL
 per shard, bit-identical scores) and prints latency percentiles
@@ -108,9 +108,10 @@ def main() -> None:
         ]
         print(f"\ncheckpoint round-trip OK ({ckpt} while it lasted)")
 
-    # 7. Async serving: requests go onto a queue; micro-batches form when
-    #    full OR when the oldest request's deadline budget is up, so a
-    #    trickle of traffic is never stalled behind a fixed batch size.
+    # 7. Async serving: requests go onto a queue, and whenever the worker
+    #    is free it runs whatever is queued as one micro-batch, so a
+    #    trickle of traffic is served at once and batches grow with load
+    #    (deadline_ms is the queue-wait budget, not a batching timer).
     #    shards=2 partitions the KB (and its embedding cache);
     #    shard_backend="process" moves each shard into a long-lived
     #    worker process (its pickled shard shipped once, then only

@@ -269,7 +269,11 @@ class Linker:
         config's service section (``shards``, ``shard_backend`` and any
         :class:`~repro.serving.ServiceConfig` field overriding it), or —
         with ``async_=True`` — an :class:`~repro.serving.AsyncLinkingService`
-        wrapping one under the ``deadline_ms`` budget (default 25 ms).
+        wrapping one.  The async service batches work-conservingly: a
+        lone request runs at once, and batches grow with load.
+        ``deadline_ms`` (default 25 ms) is its queue-wait budget, the
+        default budget of the ``"wait"`` shed policy; no request waits
+        for it to run out.
         ``shard_backend="process"`` fans candidate scoring out to
         long-lived worker processes (one GIL per shard) instead of
         threads — ``linker.serve(shards=4, shard_backend="process")``.
@@ -288,7 +292,7 @@ class Linker:
         admission="depth")`` bounds the queue and sheds the overflow as
         429s, ``admission=AdmissionConfig(shed_policy="wait",
         adaptive=True)`` adds estimated-wait shedding and the AIMD
-        deadline/batch tuner.  The config's ``service.admission``
+        batch-size tuner.  The config's ``service.admission``
         section (default shed policy from ``$REPRO_ADMISSION``) applies
         when omitted.
 

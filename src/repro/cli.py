@@ -302,7 +302,7 @@ def _http_wait(server) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Batched linking over a text file / snippet corpus / dataset split /
     stdin stream, through the :mod:`repro.serving` service.  ``--async``
-    routes requests through the deadline scheduler, ``--shards`` fans
+    routes requests through the async scheduler, ``--shards`` fans
     candidate scoring across KB shards, and ``--http PORT`` serves the
     network front door instead of reading local input; surfaces
     ServiceStats."""
@@ -781,13 +781,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         dest="use_async",
         action="store_true",
-        help="queue requests through the deadline-aware micro-batch scheduler",
+        help="queue requests through the work-conserving micro-batch scheduler",
     )
     p.add_argument(
         "--deadline-ms",
         type=float,
         default=25.0,
-        help="latency budget before a partial micro-batch is flushed (--async)",
+        help="queue-wait budget in ms (--async, --http): the default budget of "
+        "--shed-policy wait; micro-batches run as soon as the worker is free",
     )
     p.add_argument(
         "--shards",
@@ -853,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--adaptive",
         action="store_true",
-        help="AIMD-tune the deadline and micro-batch size from observed "
+        help="AIMD-tune the micro-batch size from observed "
         "queue-wait p95s (implies --shed-policy depth unless one is set)",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address for --http")

@@ -6,7 +6,9 @@ Wraps a fitted :class:`~repro.core.pipeline.EDPipeline` behind
 micro-batch scheduler over disjoint-union forwards, an LRU result cache,
 and :class:`ServiceStats` telemetry.  On top of it,
 :class:`AsyncLinkingService` (``scheduler``) accepts requests onto a
-queue and forms micro-batches under a latency deadline, and
+queue and runs them in work-conserving micro-batches (whatever is
+queued whenever its worker is free, so a lone request runs at once and
+batches grow with load; ``deadline_ms`` is the queue-wait budget), and
 :class:`ShardedKB` (``sharding``) partitions the KB and its embedding
 cache for fan-out candidate scoring (``ServiceConfig(num_shards=N)``).
 Sharded scoring runs on threads by default or — with
@@ -31,7 +33,7 @@ bounds the scheduler's queue with priority classes, sheds the overflow
 as structured 429s with ``Retry-After``
 (:class:`AdmissionError` / :class:`LinkerOverloadedError`), and — with
 ``adaptive=True`` — lets the :class:`AdaptiveTuner` AIMD-adjust the
-deadline/batch policy from observed queue-wait p95s.
+max batch size from observed queue-wait p95s.
 See ``examples/serving_quickstart.py``, ``examples/http_quickstart.py``
 and the ``repro serve`` CLI command (``repro serve --http PORT``).
 """
@@ -52,7 +54,7 @@ from .client import (  # noqa: F401
     retry_overloaded,
 )
 from .http import LinkingHTTPServer  # noqa: F401
-from .scheduler import AsyncLinkingService, DeadlineBatcher, QueuedRequest  # noqa: F401
+from .scheduler import AsyncLinkingService, MicroBatcher, QueuedRequest  # noqa: F401
 from .service import HttpConfig, LinkingService, ServiceConfig  # noqa: F401
 from .sharding import KBShard, ShardedKB  # noqa: F401
 from .stats import ServiceStats  # noqa: F401
@@ -80,7 +82,7 @@ __all__ = [
     "ServiceStats",
     "LRUCache",
     "AsyncLinkingService",
-    "DeadlineBatcher",
+    "MicroBatcher",
     "QueuedRequest",
     "ShardedKB",
     "KBShard",

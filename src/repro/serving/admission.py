@@ -8,8 +8,7 @@ a structured 429 that carries a ``Retry-After`` hint, and keep the
 admitted requests inside their latency contract.
 
 Three pieces, all policy-only (no threads, no wall clock — callers pass
-``now`` exactly like :class:`~repro.serving.scheduler.DeadlineBatcher`,
-so every decision is unit-testable with a fake clock):
+``now``, so every decision is unit-testable with a fake clock):
 
 * :class:`AdmissionConfig` — the declarative policy object.  A strict
   frozen section of :class:`~repro.serving.service.ServiceConfig`, so a
@@ -23,10 +22,11 @@ so every decision is unit-testable with a fake clock):
   low-priority traffic is shed first, and ``normal`` leaves headroom so
   ``high`` still admits at the bound.
 * :class:`AdaptiveTuner` — closes the telemetry->policy loop.  AIMD on
-  the scheduler's ``deadline_ms`` / max batch size against a sliding
-  window of observed queue-wait p95s: multiplicative backoff when the
-  p95 blows the target, additive recovery when it is comfortably under,
-  always clamped to the configured floor/ceiling.
+  the scheduler's max batch size (and a deadline figure that no longer
+  drives anything) against a sliding window of observed queue-wait
+  p95s: multiplicative backoff when the p95 blows the target, additive
+  recovery when it is comfortably under, always clamped to the
+  configured floor/ceiling.
 """
 
 from __future__ import annotations
@@ -93,9 +93,10 @@ class AdmissionConfig:
     shed_policy: str = field(default_factory=default_shed_policy)
     max_queue: int = 256  # queued-request bound for the depth check
     # Estimated-wait budget for shed_policy="wait"; 0 inherits the
-    # scheduler's deadline_ms (the latency contract already in force).
+    # scheduler's deadline_ms (its queue-wait budget).
     max_wait_ms: float = 0.0
-    # Adaptive tuning (AdaptiveTuner) of deadline_ms / max batch size.
+    # Adaptive tuning (AdaptiveTuner) of the max batch size; its
+    # deadline_ms output is reported but no longer drives the scheduler.
     adaptive: bool = False
     target_p95_ms: float = 0.0  # tuner's queue-wait p95 target; 0 = deadline_ms
     tuner_window: int = 64  # queue-wait observations per adjustment window
@@ -219,7 +220,7 @@ class AdmissionController:
 
 
 class AdaptiveTuner:
-    """AIMD tuner of the scheduler's ``deadline_ms`` / max batch size.
+    """AIMD tuner of the scheduler's max batch size (and of a deadline).
 
     Observes per-request queue waits (submit -> batch formed, the metric
     the deadline contract is written against); once a window holds
@@ -233,9 +234,12 @@ class AdaptiveTuner:
     * otherwise — stable, no change.
 
     The window is cleared after every adjustment so the next decision
-    reflects only the new policy.  Like ``DeadlineBatcher`` it never
-    reads the clock — callers pass ``now`` — so convergence is provable
-    with a fake clock.
+    reflects only the new policy.  It never reads the clock — callers
+    pass ``now`` — so convergence is provable with a fake clock.
+
+    Only ``batch_size`` drives the scheduler.  The work-conserving
+    scheduler has no batching timer, so ``deadline_ms`` is reported
+    (``ServiceStats.tuner_deadline_ms``) but no longer drives anything.
     """
 
     def __init__(self, config: AdmissionConfig, deadline_ms: float, max_batch_size: int):

@@ -1,5 +1,5 @@
 """The network front door: an asyncio + stdlib HTTP server over the
-deadline-aware linking service.
+work-conserving async linking service.
 
 Everything below :class:`LinkingHTTPServer` is in-process only; this
 module turns the serving stack into a deployable network service without
@@ -406,9 +406,15 @@ class LinkingHTTPServer:
         except ValueError as exc:
             raise WireError(f"{where}: {exc}") from None
 
-    def _submit(self, snippet, priority: str = "normal"):
+    def _submit(self, snippets, priorities):
+        """Queue the items, all or none; a shed is a 429.  A lone item
+        goes through ``submit``, the per-request entry point that
+        ``perfbench`` traces for queue wait; several go through
+        ``submit_many``."""
         try:
-            return self.service.submit(snippet, priority=priority)
+            if len(snippets) == 1:
+                return [self.service.submit(snippets[0], priority=priorities[0])]
+            return self.service.submit_many(snippets, priorities)
         except AdmissionError as exc:  # shed: 429 + Retry-After, not 503
             raise _shed_http_error(exc) from None
         except RuntimeError as exc:  # the async service is already closed
@@ -442,18 +448,10 @@ class LinkingHTTPServer:
             ]
         except WireError as exc:
             raise _wire_http_error(exc) from None
-        # All-or-nothing admission: when an item is shed mid-request the
-        # already-queued siblings are cancelled and the whole request is
-        # the 429 (partial responses would break the items<->predictions
-        # alignment the wire contract promises).
-        futures = []
-        try:
-            for snippet, item in zip(snippets, request.items):
-                futures.append(self._submit(snippet, item.priority))
-        except _HttpError:
-            for future in futures:
-                future.cancel()
-            raise
+        # All-or-nothing admission: when any item is shed, none is queued
+        # and the whole request is the 429 (partial responses would break
+        # the items<->predictions alignment the wire contract promises).
+        futures = self._submit(snippets, [item.priority for item in request.items])
         predictions = await asyncio.gather(
             *(asyncio.wrap_future(f) for f in futures)
         )
@@ -500,7 +498,7 @@ class LinkingHTTPServer:
                     json.loads(line.decode("utf-8")), where="stream item"
                 )
                 snippet = self._resolve_snippet(item, "stream item")
-                window.append((self._submit(snippet, item.priority), None))
+                window.append((self._submit([snippet], [item.priority])[0], None))
             except (json.JSONDecodeError, UnicodeDecodeError, WireError) as exc:
                 window.append(
                     (None, ErrorResponse("parse_error", str(exc), detail=line.decode("utf-8", "replace")))

@@ -1,19 +1,20 @@
-"""Deadline-aware asynchronous serving.
+"""Work-conserving asynchronous serving.
 
 ``AsyncLinkingService`` fronts the batched :class:`LinkingService` with a
-request queue and a background worker that forms micro-batches under a
-deadline policy:
+request queue and a background worker that forms micro-batches without
+ever idling while work is queued: whenever the worker is free and
+anything is waiting, it pops up to ``max_batch_size`` requests and runs
+them.  A lone request at low load is served at once instead of waiting
+for company; under load, requests pile up while a batch runs, so the
+next batch grows on its own (Clipper-style dynamic batching).  The
+worker only sleeps while the queue is empty.
 
-* a batch is flushed the moment ``max_batch_size`` requests are waiting
-  (high traffic gets full batches with no added latency), OR
-* when the *oldest* queued request's ``deadline_ms`` budget would be
-  blown by waiting longer (low traffic never stalls behind a fixed batch
-  size).
+``deadline_ms`` is not a batching timer.  It is the queue-wait budget:
+the ``"wait"`` shed policy of the admission gate defaults to it, and the
+latency and overload benches gate the observed queue wait against it.
 
-The policy itself lives in :class:`DeadlineBatcher`, which holds no
-threads and never reads the wall clock — the caller passes ``now`` — so
-it is unit-testable with a fake clock.  The worker thread wraps it with a
-condition variable whose wait timeout is the oldest pending deadline.
+The queue itself lives in :class:`MicroBatcher`, which holds no threads
+and reads no clock, so its pop order is unit-testable without sleeps.
 
 Results are the same ``Prediction`` objects the sequential
 ``EDPipeline.disambiguate_snippet`` produces (the equivalence contract of
@@ -47,7 +48,6 @@ from .admission import (
     AdaptiveTuner,
     AdmissionConfig,
     AdmissionController,
-    AdmissionError,
 )
 from .service import LinkingService, ServiceConfig
 from .stats import ServiceStats
@@ -59,31 +59,25 @@ class QueuedRequest:
 
     snippet: Snippet
     enqueued_at: float
-    deadline_at: float
     future: Future = field(default_factory=Future)
     priority: str = DEFAULT_PRIORITY
 
 
-class DeadlineBatcher:
-    """Pure deadline-policy micro-batch former (no threads, no clock).
+class MicroBatcher:
+    """The request queue of the work-conserving scheduler (no threads,
+    no clock).
 
-    One FIFO queue of :class:`QueuedRequest` per priority class;
-    :meth:`poll` decides — given the caller's ``now`` — whether a batch
-    is due: immediately when a full ``max_batch_size`` is waiting, else
-    once the *oldest* queued request's deadline (across all classes)
-    would be blown by waiting longer.  A popped batch is filled in
-    priority order (``high`` before ``normal`` before ``low``, FIFO
-    within a class), so under backlog high-priority requests always ride
-    the next flush.
+    One FIFO queue of :class:`QueuedRequest` per priority class.
+    :meth:`poll` pops the next micro-batch — up to ``max_batch_size``
+    requests, whatever is queued — in priority order (``high`` before
+    ``normal`` before ``low``, FIFO within a class), so under backlog
+    high-priority requests always ride the next batch.
     """
 
-    def __init__(self, max_batch_size: int, deadline_s: float):
+    def __init__(self, max_batch_size: int):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if deadline_s < 0:
-            raise ValueError("deadline_s must be >= 0")
         self.max_batch_size = max_batch_size
-        self.deadline_s = deadline_s
         self._queues: Dict[str, Deque[QueuedRequest]] = {
             priority: deque() for priority in PRIORITIES
         }
@@ -94,54 +88,19 @@ class DeadlineBatcher:
     def add(self, request: QueuedRequest) -> None:
         self._queues[request.priority].append(request)
 
-    def next_deadline(self) -> Optional[float]:
-        """Absolute deadline of the oldest queued request (None if idle).
-
-        Deadlines are assigned FIFO per class, so the oldest deadline is
-        the minimum over the class heads — low-priority requests may be
-        popped last, but their deadline still drives flush timing, so no
-        class can be starved of flushes indefinitely.
-        """
-        heads = [q[0].deadline_at for q in self._queues.values() if q]
-        return min(heads) if heads else None
-
-    def seconds_until_flush(self, now: float) -> Optional[float]:
-        """Longest the worker may sleep before a flush can become due.
-
-        ``None`` when the queue is idle (sleep until a request arrives),
-        ``0`` when a batch is already due.
-        """
-        next_deadline = self.next_deadline()
-        if next_deadline is None:
-            return None
-        if len(self) >= self.max_batch_size:
-            return 0.0
-        return max(0.0, next_deadline - now)
-
-    def poll(self, now: float) -> List[QueuedRequest]:
-        """The next micro-batch to run, or ``[]`` if none is due yet."""
-        if len(self) >= self.max_batch_size:
-            return self._pop(self.max_batch_size)
-        next_deadline = self.next_deadline()
-        if next_deadline is not None and now >= next_deadline:
-            return self._pop(self.max_batch_size)
-        return []
-
-    def drain(self) -> List[QueuedRequest]:
-        """Pop up to one batch regardless of deadlines (shutdown path)."""
-        return self._pop(self.max_batch_size)
-
-    def _pop(self, limit: int) -> List[QueuedRequest]:
+    def poll(self) -> List[QueuedRequest]:
+        """The next micro-batch to run; ``[]`` only when the queue is
+        empty."""
         batch: List[QueuedRequest] = []
         for priority in PRIORITIES:
             queue = self._queues[priority]
-            while queue and len(batch) < limit:
+            while queue and len(batch) < self.max_batch_size:
                 batch.append(queue.popleft())
         return batch
 
 
 class AsyncLinkingService:
-    """Queue-fronted linking with deadline-bounded micro-batching.
+    """Queue-fronted linking with work-conserving micro-batching.
 
     ``submit`` enqueues one snippet and returns a
     ``concurrent.futures.Future`` resolving to the same ``Prediction``
@@ -162,20 +121,20 @@ class AsyncLinkingService:
         max_in_flight: Optional[int] = None,
         admission: Optional[AdmissionConfig] = None,
     ):
+        if deadline_ms < 0:
+            raise ValueError("deadline_ms must be >= 0")
         if isinstance(pipeline_or_service, LinkingService):
             if config is not None:
                 raise ValueError("pass config to the LinkingService, not here")
             self.service = pipeline_or_service
         else:
             self.service = LinkingService(pipeline_or_service, config)
-        # The worker's Condition.wait timeout elapses in real time, so the
-        # service clock must be the monotonic wall clock; fake-clock tests
-        # target DeadlineBatcher / AdmissionController / AdaptiveTuner,
-        # which take `now` from their callers.
+        # Latency and queue wait are measured on the monotonic wall
+        # clock; fake-clock tests target AdmissionController /
+        # AdaptiveTuner, which take `now` from their callers.
         self.clock = time.monotonic
-        self.deadline_s = deadline_ms / 1000.0
         batch = max_batch_size or self.service.config.max_batch_size
-        self.batcher = DeadlineBatcher(batch, self.deadline_s)
+        self.batcher = MicroBatcher(batch)
         self.max_in_flight = max_in_flight or max(64, 4 * batch)
         self.admission_config = admission or self.service.config.admission
         self.admission = AdmissionController(self.admission_config, deadline_ms)
@@ -212,25 +171,50 @@ class AsyncLinkingService:
         :class:`~repro.serving.admission.AdmissionError` (HTTP maps it
         to 429 + ``Retry-After``) instead of enqueueing.
         """
-        if priority not in PRIORITIES:
+        return self.submit_many([snippet], [priority])[0]
+
+    def submit_many(
+        self, snippets: Sequence[Snippet], priorities: Sequence[str]
+    ) -> "List[Future[Prediction]]":
+        """Enqueue every snippet, or none of them.
+
+        The queue lock is taken once, and item ``i`` passes the admission
+        gate as if the items before it were already queued (depth
+        ``len(batcher) + i``).  When any item is shed, nothing is
+        enqueued, every item counts as shed, and the shed item's
+        :class:`~repro.serving.admission.AdmissionError` propagates — so
+        no sibling is already running, computing for nothing, when the
+        caller learns of the shed.
+        """
+        if len(priorities) != len(snippets):
             raise ValueError(
-                f"unknown priority {priority!r}; options: {PRIORITIES}"
+                f"{len(priorities)} priorities for {len(snippets)} snippets"
             )
+        for priority in priorities:
+            if priority not in PRIORITIES:
+                raise ValueError(
+                    f"unknown priority {priority!r}; options: {PRIORITIES}"
+                )
         now = self.clock()
-        request = QueuedRequest(
-            snippet, now, now + self.deadline_s, priority=priority
-        )
+        requests = [
+            QueuedRequest(snippet, now, priority=priority)
+            for snippet, priority in zip(snippets, priorities)
+        ]
         with self._cond:
             if self._closed:
                 raise RuntimeError("AsyncLinkingService is closed")
-            shed = self.admission.check(priority, len(self.batcher))
-            if shed is not None:
-                self.stats.record_shed(priority)
-                raise shed
-            self.stats.record_admission(priority)
-            self.batcher.add(request)
+            depth = len(self.batcher)
+            for i, priority in enumerate(priorities):
+                shed = self.admission.check(priority, depth + i)
+                if shed is not None:
+                    for each in priorities:
+                        self.stats.record_shed(each)
+                    raise shed
+            for request in requests:
+                self.stats.record_admission(request.priority)
+                self.batcher.add(request)
             self._cond.notify()
-        return request.future
+        return [request.future for request in requests]
 
     def link_batch(
         self,
@@ -240,18 +224,11 @@ class AsyncLinkingService:
     ) -> List[Prediction]:
         """Submit every snippet and gather results in input order.
 
-        All-or-nothing under admission control: when a submit mid-batch
-        is shed, the already-queued futures are cancelled and the
-        :class:`AdmissionError` propagates.
+        All-or-nothing under admission control (:meth:`submit_many`):
+        when any item is shed, none is queued and the
+        :class:`~repro.serving.admission.AdmissionError` propagates.
         """
-        futures = []
-        try:
-            for snippet in snippets:
-                futures.append(self.submit(snippet, priority))
-        except AdmissionError:
-            for future in futures:
-                future.cancel()
-            raise
+        futures = self.submit_many(snippets, [priority] * len(snippets))
         return [future.result(timeout) for future in futures]
 
     def link_stream(
@@ -277,17 +254,17 @@ class AsyncLinkingService:
     # Worker loop
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        # Work-conserving: whenever the worker is free, run whatever is
+        # queued; sleep only while the queue is empty.  After close(),
+        # keep popping until the queue is drained.
         while True:
             with self._cond:
-                while True:
-                    batch = self.batcher.poll(self.clock())
-                    if not batch and self._closed:
-                        batch = self.batcher.drain()
-                        if not batch:
-                            return
-                    if batch:
-                        break
-                    self._cond.wait(self.batcher.seconds_until_flush(self.clock()))
+                batch = self.batcher.poll()
+                while not batch:
+                    if self._closed:
+                        return
+                    self._cond.wait()
+                    batch = self.batcher.poll()
             self._run_batch(batch)
 
     def _run_batch(self, batch: List[QueuedRequest]) -> None:
@@ -312,8 +289,8 @@ class AsyncLinkingService:
             )
             request.future.set_result(prediction)
         # Feed the policy loop: the controller's estimated-wait model
-        # tracks the real drain rate, and the tuner AIMD-adjusts the
-        # deadline/batch policy from the observed queue waits.
+        # tracks the real drain rate, and the tuner AIMD-adjusts the max
+        # batch size from the observed queue waits.
         self.admission.observe_batch(len(live), done_at - formed_at)
         if self.tuner is not None:
             adjusted = False
@@ -323,8 +300,6 @@ class AsyncLinkingService:
                 )
             if adjusted:
                 with self._cond:
-                    self.deadline_s = self.tuner.deadline_ms / 1000.0
-                    self.batcher.deadline_s = self.deadline_s
                     self.batcher.max_batch_size = self.tuner.batch_size
             self.stats.record_tuner(
                 self.tuner.deadline_ms, self.tuner.batch_size, self.tuner.adjustments

@@ -40,7 +40,7 @@ from ..graph.batch import batch_graphs
 from ..graph.index import normalize_surface
 from ..storage import StorageConfig, open_stores
 from ..storage.bundle import content_fingerprint as _content_fingerprint
-from ..storage.bundle import weights_crc as _weights_crc
+from ..storage.bundle import ordered_parameters, weights_crc
 from ..text.corpus import Snippet
 from ..text.embedder import HashingNgramEmbedder
 from .admission import AdmissionConfig
@@ -95,7 +95,10 @@ class HttpConfig:
     port: int = 8080  # 0 binds an ephemeral port (see server.port)
     max_batch: int = 256  # items per /link request; more is a 413
     max_body_bytes: int = 4 * 1024 * 1024  # request body cap; more is a 413
-    deadline_ms: float = 25.0  # scheduler budget of the wrapped async service
+    # Queue-wait budget of the wrapped async service (the "wait" shed
+    # policy's default); dispatch is work-conserving, so no request
+    # waits for it to run out.
+    deadline_ms: float = 25.0
 
     def __post_init__(self):
         if not (0 <= self.port <= 65535):
@@ -134,7 +137,7 @@ class ServiceConfig:
     storage: StorageConfig = field(default_factory=StorageConfig)
     # Overload policy of the async scheduler (repro.serving.admission):
     # queue bound, shed policy (default $REPRO_ADMISSION), priorities,
-    # and the adaptive deadline/batch tuner.  Same strict dict coercion
+    # and the adaptive batch-size tuner.  Same strict dict coercion
     # as http/storage, so it round-trips through LinkerConfig JSON.
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
 
@@ -205,6 +208,7 @@ class LinkingService:
             self.config.storage, pipeline.kb, ref_cache_path=self.config.ref_cache_path
         )
         self._fingerprint: Optional[tuple] = None
+        self._params: Optional[list] = None  # captured at each rebuild
         self._h_ref: Optional[Tensor] = None
         self._x_ref: Optional[Tensor] = None
         self._sharded = None  # ShardedKB when config.num_shards > 1
@@ -213,18 +217,18 @@ class LinkingService:
     # ------------------------------------------------------------------
     # Reference-embedding cache
     # ------------------------------------------------------------------
-    def _weights_crc(self) -> int:
-        return _weights_crc(self.pipeline.model)
-
     def fingerprint(self) -> tuple:
         """Cheap per-request dirty check: model weights checksum plus the
         KB's mutation counter and shape.  Catches weight updates and any
         KB change made through the ``HeteroGraph`` API (including edge
-        rewires that keep counts constant); in-place edits of ``features``
-        rows bypass it — call :meth:`refresh` with ``force=True`` after
-        such surgery."""
+        rewires that keep counts constant).  The checksum walks the
+        parameter list captured at the last rebuild, so in-place edits of
+        ``features`` rows and a swapped-out parameter Tensor object
+        bypass it — call :meth:`refresh` with ``force=True`` after such
+        surgery."""
         kb = self.pipeline.kb
-        return (self._weights_crc(), kb.version, kb.num_nodes, kb.num_edges)
+        crc = weights_crc(self.pipeline.model, self._params)
+        return (crc, kb.version, kb.num_nodes, kb.num_edges)
 
     def content_fingerprint(self) -> int:
         """Full content checksum (weights + KB nodes/edges/features) that
@@ -237,9 +241,10 @@ class LinkingService:
     def refresh(self, force: bool = False) -> bool:
         """Recompute the reference embeddings if the model or KB changed
         since they were cached.  Returns True when a rebuild happened."""
-        current = self.fingerprint()
-        if not force and current == self._fingerprint:
+        if not force and self.fingerprint() == self._fingerprint:
             return False
+        self._params = ordered_parameters(self.pipeline.model)
+        current = self.fingerprint()
         self.pipeline.invalidate_ref_cache()
         self._kb_store.refresh()
         content = self.content_fingerprint()

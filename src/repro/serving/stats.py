@@ -3,7 +3,7 @@
 ``ServiceStats`` is a plain counter object the :class:`LinkingService`
 updates on every request: mentions served, micro-batches executed and
 their sizes, result-cache hits/misses, reference-embedding refreshes,
-and wall time spent in batched forwards.  The deadline scheduler
+and wall time spent in batched forwards.  The async scheduler
 (:mod:`repro.serving.scheduler`) additionally records per-request
 latency (submit -> result) and queue wait (submit -> batch formed), from
 which p50/p95 percentiles are served.  It renders to a dict (for the
@@ -301,7 +301,7 @@ class ServiceStats:
         gauges = [
             ("cache_hit_rate", self.cache_hit_rate, "result cache hit rate"),
             ("admission_shed_rate", self.shed_rate, "fraction of gate arrivals shed"),
-            ("tuner_deadline_ms", self.tuner_deadline_ms, "adaptive tuner's live deadline budget"),
+            ("tuner_deadline_ms", self.tuner_deadline_ms, "adaptive tuner's deadline output (drives no dispatch)"),
             ("tuner_batch_size", self.tuner_batch_size, "adaptive tuner's live max batch size"),
             ("tuner_adjustments", self.tuner_adjustments, "adaptive tuner policy adjustments"),
             ("mean_batch_size", self.mean_batch_size, "mean micro-batch size"),

@@ -38,7 +38,7 @@ import os
 import shutil
 import tempfile
 import zlib
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "MmapStore",
     "content_fingerprint",
     "features_crc",
+    "ordered_parameters",
     "pack_bundle",
     "read_manifest",
     "weights_crc",
@@ -66,11 +67,22 @@ H_REF_NAME = "h_ref.npy"
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
-def weights_crc(model) -> int:
-    """CRC32 over the model's parameters in name order."""
+def ordered_parameters(model) -> List:
+    """The model's parameter Tensors in name order (what
+    :func:`weights_crc` checksums)."""
+    return [param for _, param in sorted(model.named_parameters())]
+
+
+def weights_crc(model, params: Optional[Sequence] = None) -> int:
+    """CRC32 over the model's parameters in name order.
+
+    ``params`` is a list :func:`ordered_parameters` returned earlier; it
+    skips the walk over the module tree.  Each array is read through the
+    buffer protocol, without a ``tobytes()`` copy.
+    """
     crc = 0
-    for _, param in sorted(model.named_parameters()):
-        crc = zlib.crc32(np.ascontiguousarray(param.data).tobytes(), crc)
+    for param in ordered_parameters(model) if params is None else params:
+        crc = zlib.crc32(np.ascontiguousarray(param.data), crc)
     return crc
 
 

@@ -6,7 +6,7 @@ The configuration surface is checked end to end: strict validation,
 the ``REPRO_ADMISSION`` env default, the exact round trip through
 ``ServiceConfig`` / ``LinkerConfig`` JSON, and Python-API / env / CLI
 parity.  Shed paths run against a tiny trained pipeline with a stalled
-worker (huge deadline, oversized batch) so queue depth is deterministic,
+worker (one that runs nothing until close) so queue depth is deterministic,
 and the HTTP 429 contract (``Retry-After``, structured body, the typed
 client exception and its bounded-retry helper) runs against a real
 server on an ephemeral port.
@@ -15,6 +15,8 @@ server on an ephemeral port.
 import dataclasses
 import http.client
 import json
+import sys
+import threading
 
 import pytest
 
@@ -27,7 +29,6 @@ from repro.serving import (
     AdmissionController,
     AdmissionError,
     AsyncLinkingService,
-    DeadlineBatcher,
     ErrorResponse,
     HttpConfig,
     LinkerClient,
@@ -37,6 +38,7 @@ from repro.serving import (
     LinkingService,
     LinkItem,
     LinkRequest,
+    MicroBatcher,
     QueuedRequest,
     ServiceConfig,
     WireError,
@@ -290,39 +292,36 @@ class TestAdaptiveTuner:
 
 
 # ---------------------------------------------------------------------------
-# DeadlineBatcher priority ordering (fake clock)
+# MicroBatcher priority ordering (no clock)
 # ---------------------------------------------------------------------------
 class TestBatcherPriority:
     def request(self, now, payload, priority):
-        return QueuedRequest(
-            payload, enqueued_at=now, deadline_at=now + 0.05, priority=priority
-        )
+        return QueuedRequest(payload, enqueued_at=now, priority=priority)
 
     def test_batch_filled_in_priority_order(self):
-        batcher = DeadlineBatcher(4, 0.05)
+        batcher = MicroBatcher(4)
         batcher.add(self.request(0.00, "n1", "normal"))
         batcher.add(self.request(0.01, "l1", "low"))
         batcher.add(self.request(0.02, "h1", "high"))
         batcher.add(self.request(0.03, "n2", "normal"))
-        batch = batcher.poll(now=0.03)  # full batch
+        batch = batcher.poll()  # full batch
         assert [r.snippet for r in batch] == ["h1", "n1", "n2", "l1"]
 
     def test_low_priority_waits_out_a_backlog(self):
-        batcher = DeadlineBatcher(2, 0.05)
+        batcher = MicroBatcher(2)
         batcher.add(self.request(0.00, "l1", "low"))
         for i in range(3):
             batcher.add(self.request(0.01, f"h{i}", "high"))
-        assert [r.snippet for r in batcher.poll(now=0.01)] == ["h0", "h1"]
-        assert [r.snippet for r in batcher.poll(now=0.05)] == ["h2", "l1"]
+        assert [r.snippet for r in batcher.poll()] == ["h0", "h1"]
+        assert [r.snippet for r in batcher.poll()] == ["h2", "l1"]
 
-    def test_low_priority_deadline_still_drives_flush(self):
-        batcher = DeadlineBatcher(8, 0.05)
+    def test_low_priority_rides_a_short_queue_at_once(self):
+        batcher = MicroBatcher(8)
         batcher.add(self.request(0.00, "l1", "low"))
         batcher.add(self.request(1.00, "h1", "high"))
-        # The oldest deadline belongs to the low request: it forces the
-        # flush, so a trickle of high traffic cannot starve it.
-        assert batcher.next_deadline() == pytest.approx(0.05)
-        assert [r.snippet for r in batcher.poll(now=0.05)] == ["h1", "l1"]
+        # Below a full batch nothing waits: the low request runs in the
+        # very next batch, behind the high one.
+        assert [r.snippet for r in batcher.poll()] == ["h1", "l1"]
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +381,13 @@ def pipeline(dataset):
     return pipe
 
 
-def stalled_service(pipeline, admission, max_queue_batch=64):
-    """An async service whose worker cannot flush (huge deadline, batch
-    larger than anything submitted) so queue depth is deterministic."""
-    return AsyncLinkingService(
-        pipeline,
-        deadline_ms=60_000.0,
-        max_batch_size=max_queue_batch,
-        admission=admission,
-    )
-
-
 class TestAsyncShedPaths:
-    def test_depth_shed_and_priority_headroom(self, pipeline, dataset):
+    def test_depth_shed_and_priority_headroom(
+        self, pipeline, dataset, stalled_async_service
+    ):
         snippet = dataset.test[0]
         admission = AdmissionConfig(shed_policy="depth", max_queue=2)
-        service = stalled_service(pipeline, admission)
+        service = stalled_async_service(pipeline, admission=admission)
         try:
             future = service.submit(snippet)  # depth 0 < normal budget 1
             with pytest.raises(AdmissionError) as exc_info:
@@ -418,24 +408,102 @@ class TestAsyncShedPaths:
         for resolved in (future.result(0), high.result(0)):
             assert resolved.ranked_entities == expected.ranked_entities
 
-    def test_unknown_priority_rejected(self, pipeline, dataset):
-        service = stalled_service(pipeline, AdmissionConfig(shed_policy="depth"))
+    def test_unknown_priority_rejected(self, pipeline, dataset, stalled_async_service):
+        service = stalled_async_service(
+            pipeline, admission=AdmissionConfig(shed_policy="depth")
+        )
         try:
             with pytest.raises(ValueError, match="priority"):
                 service.submit(dataset.test[0], priority="urgent")
         finally:
             service.close()
 
-    def test_link_batch_is_all_or_nothing(self, pipeline, dataset):
+    def test_link_batch_is_all_or_nothing(self, pipeline, dataset, stalled_async_service):
         admission = AdmissionConfig(shed_policy="depth", max_queue=2)
-        service = stalled_service(pipeline, admission)
+        service = stalled_async_service(pipeline, admission=admission)
         try:
             with pytest.raises(AdmissionError):
                 service.link_batch([dataset.test[0]] * 3)
-            # The pre-shed sibling was cancelled, not left to compute.
-            assert service.stats.total_admitted == 1
+            # The item that fit was never queued, so nothing computes.
+            assert service.stats.total_admitted == 0
+            assert service.stats.shed == {"normal": 3}
+            assert len(service.batcher) == 0
         finally:
             service.close()
+
+    def test_shed_submit_many_leaves_queue_depth_unchanged(
+        self, pipeline, dataset, stalled_async_service
+    ):
+        # max_queue=4: normal budget 3, high budget 4.  One queued item
+        # leaves room for two more normal ones, not three.
+        admission = AdmissionConfig(shed_policy="depth", max_queue=4)
+        service = stalled_async_service(pipeline, admission=admission)
+        snippets = dataset.test[:3]
+        try:
+            first = service.submit(dataset.test[3])
+            with pytest.raises(AdmissionError) as exc_info:
+                service.submit_many(snippets, ["normal"] * 3)
+            assert exc_info.value.priority == "normal"
+            assert len(service.batcher) == 1
+            assert service.stats.admitted == {"normal": 1}
+            # Each item is gated at its own priority and position: three
+            # high items fit under the high budget of 4.
+            futures = service.submit_many(snippets, ["high", "high", "high"])
+            assert len(service.batcher) == 4
+            with pytest.raises(ValueError, match="priorities"):
+                service.submit_many(snippets, ["high"])
+        finally:
+            service.close()
+        for future, snippet in zip([first, *futures], [dataset.test[3], *snippets]):
+            expected = pipeline.disambiguate_snippet(snippet)
+            assert future.result(0).ranked_entities == expected.ranked_entities
+
+    def test_concurrent_batches_admit_all_or_nothing(self, pipeline, dataset):
+        # More submitting threads than cores and a short switch interval:
+        # every link_batch is queued whole or shed whole, and the queue
+        # never holds more than the normal-priority depth budget.
+        admission = AdmissionConfig(shed_policy="depth", max_queue=5)
+        service = AsyncLinkingService(
+            pipeline, ServiceConfig(max_batch_size=4, admission=admission)
+        )
+        snippets = dataset.test[:3]
+        expected = [pipeline.disambiguate_snippet(s).ranked_entities for s in snippets]
+        depths = []
+        add = service.batcher.add
+
+        def recording_add(request):
+            add(request)
+            depths.append(len(service.batcher))
+
+        service.batcher.add = recording_add
+        outcomes = []
+
+        def caller():
+            for _ in range(10):
+                try:
+                    predictions = service.link_batch(snippets, timeout=30.0)
+                    outcomes.append([p.ranked_entities for p in predictions])
+                except AdmissionError:
+                    outcomes.append(None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        served = [o for o in outcomes if o is not None]
+        assert len(outcomes) == 60 and served
+        assert all(o == expected for o in served)
+        assert service.stats.admitted.get("normal", 0) == 3 * len(served)
+        assert service.stats.shed.get("normal", 0) == 3 * (60 - len(served))
+        assert max(depths) <= service.admission.depth_budget("normal")
 
     def test_disabled_admission_never_sheds(self, pipeline, dataset):
         service = AsyncLinkingService(pipeline, deadline_ms=25.0)
@@ -458,15 +526,15 @@ class TestHttpOverload:
                 admission=AdmissionConfig(shed_policy="depth", max_queue=2),
             ),
         )
-        config = HttpConfig(port=0, deadline_ms=60_000.0)
+        config = HttpConfig(port=0)
         with LinkingHTTPServer(service, config) as server:
             yield server
 
     def test_shed_batch_is_429_with_retry_after(self, server):
-        # Two normal-priority items: the first admits (depth 0 < budget
-        # 1), the second sheds -> the whole request is a 429 and the
-        # queued sibling is cancelled.  Deterministic: the worker cannot
-        # flush (60s deadline, batch of 64).
+        # Two normal-priority items: the first fits (depth 0 < budget 1),
+        # the second does not (depth 0 + 1 >= 1) -> the whole request is
+        # a 429 and neither item is queued.  Deterministic whatever the
+        # worker is doing: submit_many gates all items under one lock.
         body = LinkRequest(
             items=(LinkItem(text=SNIPPET_TEXT), LinkItem(text=SNIPPET_TEXT))
         ).to_json().encode()

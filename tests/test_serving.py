@@ -7,6 +7,8 @@ reference-embedding cache, the stats counters, and the vectorised
 matcher fast paths the service relies on.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.datasets import load_dataset
 from repro.serving import LinkingService, LRUCache, ServiceConfig, ServiceStats
 from repro.serving.stats import LATENCY_WINDOW
 from repro.storage import StorageConfig
+from repro.storage.bundle import ordered_parameters, weights_crc
 from repro.text.corpus import Snippet
 
 SCALE = 0.2
@@ -161,6 +164,36 @@ class TestResultCache:
         finally:
             param.data = original
             pipeline.invalidate_ref_cache()
+
+    def test_in_place_weight_update_invalidates(self, pipeline, dataset):
+        # An optimizer step writes into the arrays the captured parameter
+        # list points at; the dirty check must still see it.
+        service = LinkingService(pipeline, ServiceConfig(cache_size=512))
+        service.link_batch(dataset.test[:2])
+        before = service.fingerprint()
+        param = pipeline.model.parameters()[-1]
+        original = param.data.copy()
+        try:
+            param.data -= 0.125
+            assert service.fingerprint() != before
+            service.link_batch(dataset.test[:2])
+            assert service.stats.ref_refreshes == 2
+            assert_equivalent(service, pipeline, dataset.test[:2])
+        finally:
+            param.data[...] = original
+            pipeline.invalidate_ref_cache()
+
+    def test_fingerprint_checksum_is_weights_crc(self, pipeline):
+        # The cheap check must equal the persisted-cache checksum bit for
+        # bit: both hash every parameter's C-order bytes in name order.
+        service = LinkingService(pipeline, ServiceConfig(cache_size=0))
+        expected = 0
+        for _, param in sorted(pipeline.model.named_parameters()):
+            expected = zlib.crc32(np.ascontiguousarray(param.data).tobytes(), expected)
+        assert service.fingerprint()[0] == expected
+        assert weights_crc(pipeline.model) == expected
+        params = ordered_parameters(pipeline.model)
+        assert weights_crc(pipeline.model, params) == expected
 
     def test_kb_edge_rewire_invalidates(self, dataset):
         # Edge mutations that keep node/edge counts plausible must still

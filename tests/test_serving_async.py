@@ -1,7 +1,7 @@
-"""Tests for deadline-aware async serving and KB sharding.
+"""Tests for work-conserving async serving and KB sharding.
 
-The deadline scheduler's policy (:class:`DeadlineBatcher`) is exercised
-with a fake clock — no wall-clock sleeps live in this module.  The shard
+The scheduler's queue (:class:`MicroBatcher`) reads no clock, so its pop
+order is exercised without threads or wall-clock sleeps.  The shard
 equivalence property (sequential == 1-shard == N-shard predictions on a
 seeded dataset, for both the thread and process execution backends) and
 the async service's end-to-end contract run against a tiny trained
@@ -28,15 +28,14 @@ from repro.datasets import load_dataset
 from repro.graph.batch import batch_graphs
 from repro.serving import (
     AsyncLinkingService,
-    DeadlineBatcher,
     LinkingService,
+    MicroBatcher,
     QueuedRequest,
     ServiceConfig,
     ShardedKB,
 )
 
 SCALE = 0.2
-DEADLINE_S = 0.05
 
 
 def env_shards(default: int) -> int:
@@ -93,8 +92,8 @@ def unsharded_scores(pipeline, h_query, query_ids, ref_ids, x_query):
         ).data
 
 
-def request_at(now: float, payload=None) -> QueuedRequest:
-    return QueuedRequest(payload, enqueued_at=now, deadline_at=now + DEADLINE_S)
+def request_at(now: float, payload=None, priority: str = "normal") -> QueuedRequest:
+    return QueuedRequest(payload, enqueued_at=now, priority=priority)
 
 
 def assert_predictions_match(expected, actual, atol=1e-4):
@@ -106,67 +105,67 @@ def assert_predictions_match(expected, actual, atol=1e-4):
 
 
 class TestDeadlineBatcher:
-    """Fake-clock unit tests of the flush policy (no threads, no sleeps)."""
+    """Unit tests of the work-conserving pop policy of
+    :class:`MicroBatcher` (no threads, no clock, no sleeps).  The class
+    keeps the batcher's former name so the test ids stay stable."""
 
     def test_validates_config(self):
         with pytest.raises(ValueError):
-            DeadlineBatcher(0, 1.0)
+            MicroBatcher(0)
         with pytest.raises(ValueError):
-            DeadlineBatcher(4, -1.0)
+            MicroBatcher(-1)
 
     def test_idle_queue_never_flushes(self):
-        batcher = DeadlineBatcher(4, DEADLINE_S)
-        assert batcher.poll(now=1e9) == []
-        assert batcher.seconds_until_flush(now=1e9) is None
-        assert batcher.next_deadline() is None
+        batcher = MicroBatcher(4)
+        assert batcher.poll() == []
+        batcher.add(request_at(0.0))
+        assert len(batcher.poll()) == 1
+        assert batcher.poll() == []  # emptied again: nothing to pop
+        assert len(batcher) == 0
 
     def test_full_batch_flushes_immediately(self):
-        batcher = DeadlineBatcher(4, DEADLINE_S)
+        batcher = MicroBatcher(4)
         for i in range(4):
             batcher.add(request_at(0.0, payload=i))
-        assert batcher.seconds_until_flush(now=0.0) == 0.0
-        batch = batcher.poll(now=0.0)  # no deadline has passed
+        batch = batcher.poll()
         assert [r.snippet for r in batch] == [0, 1, 2, 3]
         assert len(batcher) == 0
 
-    def test_partial_batch_waits_for_deadline(self):
-        batcher = DeadlineBatcher(4, DEADLINE_S)
+    def test_partial_batch_pops_at_once(self):
+        batcher = MicroBatcher(4)
         batcher.add(request_at(0.0, payload="a"))
         batcher.add(request_at(0.01, payload="b"))
-        assert batcher.poll(now=0.02) == []  # oldest budget not blown yet
-        assert batcher.seconds_until_flush(now=0.02) == pytest.approx(0.03)
-        batch = batcher.poll(now=DEADLINE_S)  # oldest deadline reached
-        assert [r.snippet for r in batch] == ["a", "b"]
+        # Two of four slots filled, no time passed: both run now.
+        assert [r.snippet for r in batcher.poll()] == ["a", "b"]
+        assert len(batcher) == 0
 
-    def test_oldest_request_drives_the_deadline(self):
-        batcher = DeadlineBatcher(4, DEADLINE_S)
-        batcher.add(request_at(0.0))
-        batcher.add(request_at(1.0))
-        assert batcher.next_deadline() == pytest.approx(DEADLINE_S)
-        # Flushing at the oldest deadline takes the young request along.
-        assert len(batcher.poll(now=DEADLINE_S)) == 2
+    def test_backlog_pops_in_full_batches_in_priority_order(self):
+        batcher = MicroBatcher(3)
+        arrivals = [
+            ("l1", "low"), ("n1", "normal"), ("h1", "high"), ("n2", "normal"),
+            ("l2", "low"), ("h2", "high"), ("n3", "normal"),
+        ]
+        for i, (payload, priority) in enumerate(arrivals):
+            batcher.add(request_at(i * 0.001, payload, priority))
+        batches = []
+        while len(batcher):
+            batches.append([r.snippet for r in batcher.poll()])
+        assert batches == [["h1", "h2", "n1"], ["n2", "n3", "l1"], ["l2"]]
 
     def test_deadline_flush_caps_at_max_batch_size(self):
-        batcher = DeadlineBatcher(2, DEADLINE_S)
+        batcher = MicroBatcher(2)
         for i in range(5):
             batcher.add(request_at(0.0, payload=i))
-        first = batcher.poll(now=DEADLINE_S)
+        first = batcher.poll()
         assert [r.snippet for r in first] == [0, 1]  # FIFO, capped
         assert len(batcher) == 3
 
     def test_no_fixed_size_stall_at_low_traffic(self):
-        # One lonely request must still be served once its budget is up —
-        # the scheduler never waits for a full batch.
-        batcher = DeadlineBatcher(32, DEADLINE_S)
+        # One lonely request is served at once: the scheduler never waits
+        # for a full batch, nor for a deadline to pass.
+        batcher = MicroBatcher(32)
         batcher.add(request_at(0.0, payload="lonely"))
-        assert batcher.poll(now=0.049) == []
-        assert [r.snippet for r in batcher.poll(now=0.051)] == ["lonely"]
-
-    def test_drain_ignores_deadlines(self):
-        batcher = DeadlineBatcher(4, DEADLINE_S)
-        batcher.add(request_at(0.0))
-        assert len(batcher.drain()) == 1
-        assert batcher.drain() == []
+        assert [r.snippet for r in batcher.poll()] == ["lonely"]
 
 
 class TestShardedKB:
@@ -457,15 +456,42 @@ class TestAsyncLinkingService:
             service.submit(dataset.test[0])
         service.close()  # idempotent
 
-    def test_close_drains_pending(self, pipeline, dataset):
-        # A deadline much longer than the test: close() must still flush
-        # the queued requests instead of abandoning their futures.
-        service = AsyncLinkingService(pipeline, deadline_ms=60_000.0)
+    def test_close_drains_pending(self, pipeline, dataset, stalled_async_service):
+        # Nothing runs before close(): close() must still flush the
+        # queued requests instead of abandoning their futures.
+        service = stalled_async_service(pipeline)
         futures = [service.submit(s) for s in dataset.test[:3]]
         service.close()
         for future, snippet in zip(futures, dataset.test[:3]):
             expected = pipeline.disambiguate_snippet(snippet)
             assert future.result(timeout=1.0).ranked_entities == expected.ranked_entities
+
+    def test_lone_submit_does_not_wait_out_the_deadline(self, pipeline, dataset):
+        # Work-conserving dispatch: an idle worker runs a lone request at
+        # once; deadline_ms is a queue-wait budget, not a batching timer.
+        with AsyncLinkingService(pipeline, deadline_ms=60_000.0) as service:
+            service.service.link_batch(dataset.test[:1])  # warm lazy paths
+            prediction = service.submit(dataset.test[1]).result(timeout=1.0)
+        expected = pipeline.disambiguate_snippet(dataset.test[1])
+        assert prediction.ranked_entities == expected.ranked_entities
+
+    def test_link_batch_is_one_micro_batch(self, pipeline, dataset):
+        # submit_many queues all items under one lock hold, so an idle
+        # worker pops them together rather than one by one.
+        with AsyncLinkingService(
+            pipeline, ServiceConfig(max_batch_size=32, cache_size=0)
+        ) as service:
+            predictions = service.link_batch(dataset.test[:10])
+            assert list(service.stats.batch_sizes) == [10]
+        assert_predictions_match(
+            [pipeline.disambiguate_snippet(s) for s in dataset.test[:10]], predictions
+        )
+
+    def test_negative_deadline_rejected(self, pipeline):
+        inner = LinkingService(pipeline, ServiceConfig(cache_size=0))
+        with pytest.raises(ValueError, match="deadline_ms"):
+            AsyncLinkingService(inner, deadline_ms=-1.0)
+        inner.close()
 
     def test_rejects_config_with_prebuilt_service(self, pipeline):
         inner = LinkingService(pipeline, ServiceConfig(cache_size=0))
@@ -473,10 +499,10 @@ class TestAsyncLinkingService:
             AsyncLinkingService(inner, ServiceConfig())
         inner.close()
 
-    def test_cancelled_future_is_skipped(self, pipeline, dataset):
+    def test_cancelled_future_is_skipped(self, pipeline, dataset, stalled_async_service):
         # Cancelling a queued future must not kill the worker: the rest
         # of the batch still resolves.
-        service = AsyncLinkingService(pipeline, deadline_ms=60_000.0)
+        service = stalled_async_service(pipeline)
         first = service.submit(dataset.test[0])
         second = service.submit(dataset.test[1])
         assert first.cancel()
