@@ -20,7 +20,8 @@ not queueing overload, dominates what the scheduler does.  Reports:
 Fails when any ranking differs, when the p95 queue wait blows the
 configured ``--deadline-ms`` budget (plus the shared CI jitter slack),
 or when the p50 of the sequential single-item HTTP POSTs is at or above
-``--deadline-ms``.  Dispatch is work-conserving: a lone request runs as
+``--deadline-ms``.  The budget reaches the service as
+``AdmissionConfig(max_wait_ms=...)``.  Dispatch is work-conserving: a lone request runs as
 soon as the worker is free, so neither a fixed-size stall nor a request
 waiting out the budget may show up here.
 
@@ -41,7 +42,7 @@ from _shared import SERVING_DEADLINE_JITTER_MS, update_bench_report
 from repro.api import Linker, LinkerConfig
 from repro.core import ModelConfig, TrainConfig
 from repro.datasets import load_dataset
-from repro.serving import AsyncLinkingService, LinkerClient
+from repro.serving import AdmissionConfig, AsyncLinkingService, LinkerClient
 
 
 def run(args: argparse.Namespace) -> int:
@@ -79,13 +80,15 @@ def run(args: argparse.Namespace) -> int:
 
     # Async replay, arrivals paced at ~half capacity.
     inter_arrival = 2.0 / capacity if capacity > 0 else 0.0
+    admission = AdmissionConfig(max_wait_ms=args.deadline_ms)
     service = linker.serve(
         max_batch_size=args.batch_size,
         cache_size=0,
         top_k=args.top_k,
         shards=args.shards,
+        admission=admission,
     )
-    with AsyncLinkingService(service, deadline_ms=args.deadline_ms) as async_service:
+    with AsyncLinkingService(service) as async_service:
         t0 = time.perf_counter()
         futures = []
         for snippet in stream:
@@ -109,7 +112,7 @@ def run(args: argparse.Namespace) -> int:
     # throughput.  Rankings must match the sequential baseline.
     http_requests = min(len(stream), 32) if args.smoke else len(stream)
     server = linker.serve(
-        http_port=0, deadline_ms=args.deadline_ms,
+        http_port=0, admission=admission,
         max_batch_size=args.batch_size, cache_size=0, top_k=args.top_k,
     )
     http_latencies = []

@@ -3,7 +3,9 @@
 Trains one small ED-GNN, measures the synchronous batched service's
 capacity, then drives the async scheduler at ~2x that capacity —
 arrivals faster than the service can drain, the regime where an
-unbounded queue turns every request into a timeout.  Three legs:
+unbounded queue turns every request into a timeout.  Two legs, both
+under the queue-wait budget ``--deadline-ms`` (handed to the service as
+``AdmissionConfig.max_wait_ms``):
 
 * **unprotected** (``shed_policy="none"``): the queue grows without
   bound and the p95 queue wait blows through the deadline budget — the
@@ -12,14 +14,9 @@ unbounded queue turns every request into a timeout.  Three legs:
 * **protected** (``shed_policy="wait"``): the admission gate sheds the
   overflow (structured :class:`AdmissionError`, per-priority headroom:
   ``low`` first) and the bench guards that the *admitted* requests' p95
-  queue wait stays inside ``deadline_ms`` plus the shared CI jitter
-  slack, and that every admitted ranking is identical to the sequential
-  ``EDPipeline.disambiguate_snippet`` baseline;
-* **adaptive** (``adaptive=True``): same drive with the AIMD tuner
-  closing the loop; reports how far the tuner backed its deadline and
-  batch size off and how many adjustments it took (no hard guard —
-  policy motion is hardware-dependent).  Only the batch size drives
-  the work-conserving scheduler; the deadline figure drives nothing.
+  queue wait stays inside the budget plus the shared CI jitter slack,
+  and that every admitted ranking is identical to the sequential
+  ``EDPipeline.disambiguate_snippet`` baseline.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving_overload.py
       [--smoke] [--batch-size 32] [--deadline-ms 50] [--shards 1]
@@ -118,12 +115,11 @@ def run(args: argparse.Namespace) -> int:
             max_batch_size=args.batch_size, cache_size=0,
             top_k=args.top_k, shards=args.shards,
         )
-        return AsyncLinkingService(
-            service, deadline_ms=args.deadline_ms, admission=admission
-        )
+        return AsyncLinkingService(service, admission=admission)
 
     # Leg 1: unprotected — the violation the gate exists to prevent.
-    with make_service(AdmissionConfig(shed_policy="none")) as service:
+    unprotected = AdmissionConfig(shed_policy="none", max_wait_ms=args.deadline_ms)
+    with make_service(unprotected) as service:
         drive(service, stream, inter_arrival)
         unprotected_p95 = service.stats.queue_wait_percentile(95)
     overloaded = unprotected_p95 > budget_ms
@@ -149,24 +145,6 @@ def run(args: argparse.Namespace) -> int:
     print(f"equivalence    {len(admitted) - mismatches}/{len(admitted)} "
           f"admitted rankings identical to sequential")
 
-    # Leg 3: adaptive — the AIMD tuner backs the policy off under the
-    # same drive.  Reported, not guarded: how far it moves is hardware-
-    # dependent.
-    adaptive = AdmissionConfig(
-        shed_policy="wait", max_queue=args.max_queue,
-        max_wait_ms=args.deadline_ms, adaptive=True,
-        min_deadline_ms=5.0, max_deadline_ms=max(250.0, args.deadline_ms),
-    )
-    adaptive_stream = stream[: max(64, len(stream) // 2)]
-    with make_service(adaptive) as service:
-        drive(service, adaptive_stream, inter_arrival)
-        tuner_deadline = service.stats.tuner_deadline_ms
-        tuner_batch = service.stats.tuner_batch_size
-        tuner_adjustments = service.stats.tuner_adjustments
-    print(f"adaptive       deadline {args.deadline_ms:.0f} -> {tuner_deadline:.1f} ms  "
-          f"batch {args.batch_size} -> {tuner_batch}  "
-          f"({tuner_adjustments} adjustments)")
-
     update_bench_report(
         args.report,
         "overload",
@@ -187,9 +165,6 @@ def run(args: argparse.Namespace) -> int:
             "shed": len(shed),
             "shed_by_priority": shed_by_priority,
             "ranking_mismatches": mismatches,
-            "tuner_deadline_ms": round(tuner_deadline, 2),
-            "tuner_batch_size": tuner_batch,
-            "tuner_adjustments": tuner_adjustments,
         },
     )
 

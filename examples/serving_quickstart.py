@@ -23,7 +23,7 @@ The same paths are reachable from the CLI:
 
     repro config dump --variant graphsage > linker.json
     repro train --dataset NCBI --config linker.json --out CKPT
-    repro serve --checkpoint CKPT --async --shards 2 --deadline-ms 25 \
+    repro serve --checkpoint CKPT --async --shards 2 --max-wait-ms 25 \
         --shard-backend process
     cat snippets.jsonl | repro serve --checkpoint CKPT --input - --async
     repro kb pack --checkpoint CKPT --out BUNDLE --with-index
@@ -111,7 +111,8 @@ def main() -> None:
     # 7. Async serving: requests go onto a queue, and whenever the worker
     #    is free it runs whatever is queued as one micro-batch, so a
     #    trickle of traffic is served at once and batches grow with load
-    #    (deadline_ms is the queue-wait budget, not a batching timer).
+    #    (there is no batching timer; the admission section's
+    #    max_wait_ms is the queue-wait budget, 25 ms by default).
     #    shards=2 partitions the KB (and its embedding cache);
     #    shard_backend="process" moves each shard into a long-lived
     #    worker process (its pickled shard shipped once, then only
@@ -120,8 +121,7 @@ def main() -> None:
     #    where the platform cannot fork.  Predictions stay identical to
     #    the sequential pipeline on every backend.
     with linker.serve(
-        async_=True, shards=2, shard_backend="process",
-        deadline_ms=25.0, cache_size=0,
+        async_=True, shards=2, shard_backend="process", cache_size=0,
     ) as async_service:
         futures = [async_service.submit(snippet) for snippet in dataset.test]
         async_predictions = [f.result() for f in futures]

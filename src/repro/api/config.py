@@ -18,7 +18,8 @@ process-worker sharded service) as well as the HTTP front door
 exactly, the payload is schema-versioned, and parsing is strict: unknown
 keys, unknown component names, unknown backend names, and unsupported
 versions are rejected rather than ignored — a config that parses is a
-config that constructs.
+config that constructs.  Schema-v1 payloads are upgraded on load
+(:func:`_upgrade_v1`).
 """
 
 from __future__ import annotations
@@ -42,8 +43,22 @@ from .registry import CANDIDATE_GENERATORS, EMBEDDERS, ENCODERS, NERS
 
 __all__ = ["LinkerConfig", "CONFIG_SCHEMA_VERSION"]
 
-#: bump when the JSON layout changes incompatibly
-CONFIG_SCHEMA_VERSION = 1
+#: bump when the JSON layout changes incompatibly (and upgrade the old
+#: layout in from_dict)
+CONFIG_SCHEMA_VERSION = 2
+
+#: service.admission keys of schema v1 that only the AIMD tuner read
+_V1_TUNER_KEYS = frozenset(
+    {
+        "adaptive",
+        "target_p95_ms",
+        "tuner_window",
+        "tuner_interval_ms",
+        "min_deadline_ms",
+        "max_deadline_ms",
+        "min_batch_size",
+    }
+)
 
 _TOP_LEVEL_KEYS = frozenset(
     {
@@ -61,6 +76,36 @@ _TOP_LEVEL_KEYS = frozenset(
         "embedder_kwargs",
     }
 )
+
+
+def _upgrade_v1(payload: dict) -> dict:
+    """A schema-v1 payload in v2 form.
+
+    v1 carried the tuner's admission keys and ``service.shard_workers``
+    (both dropped), and split the queue-wait budget between
+    ``service.http.deadline_ms`` (default 25 ms) and
+    ``service.admission.max_wait_ms`` (0 meant "use the deadline"); v2
+    keeps only ``max_wait_ms``.
+    """
+    payload = dict(payload, schema_version=CONFIG_SCHEMA_VERSION)
+    service = payload.get("service")
+    if not isinstance(service, dict):
+        return payload
+    service = dict(service)
+    service.pop("shard_workers", None)
+    budget_ms = 25.0
+    if isinstance(service.get("http"), dict):
+        http = dict(service["http"])
+        budget_ms = http.pop("deadline_ms", budget_ms)
+        service["http"] = http
+    admission = service.get("admission", {})
+    if isinstance(admission, dict):
+        admission = {k: v for k, v in admission.items() if k not in _V1_TUNER_KEYS}
+        if admission.get("max_wait_ms", 0) == 0:
+            admission["max_wait_ms"] = budget_ms
+        service["admission"] = admission
+    payload["service"] = service
+    return payload
 
 
 def _nested_from_dict(kind: str, payload: dict, builder):
@@ -162,7 +207,9 @@ class LinkerConfig:
         if not isinstance(payload, dict):
             raise ValueError("LinkerConfig payload must be a JSON object")
         version = payload.get("schema_version")
-        if version != CONFIG_SCHEMA_VERSION:
+        if version == 1:
+            payload = _upgrade_v1(payload)
+        elif version != CONFIG_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported LinkerConfig schema_version {version!r} "
                 f"(expected {CONFIG_SCHEMA_VERSION})"

@@ -258,7 +258,6 @@ class Linker:
         shard_backend: Optional[str] = None,
         storage=None,
         admission=None,
-        deadline_ms: Optional[float] = None,
         http_port: Optional[int] = None,
         http_host: Optional[str] = None,
         **overrides,
@@ -271,9 +270,6 @@ class Linker:
         with ``async_=True`` — an :class:`~repro.serving.AsyncLinkingService`
         wrapping one.  The async service batches work-conservingly: a
         lone request runs at once, and batches grow with load.
-        ``deadline_ms`` (default 25 ms) is its queue-wait budget, the
-        default budget of the ``"wait"`` shed policy; no request waits
-        for it to run out.
         ``shard_backend="process"`` fans candidate scoring out to
         long-lived worker processes (one GIL per shard) instead of
         threads — ``linker.serve(shards=4, shard_backend="process")``.
@@ -291,16 +287,18 @@ class Linker:
         a shed-policy name) — ``linker.serve(async_=True,
         admission="depth")`` bounds the queue and sheds the overflow as
         429s, ``admission=AdmissionConfig(shed_policy="wait",
-        adaptive=True)`` adds estimated-wait shedding and the AIMD
-        batch-size tuner.  The config's ``service.admission``
-        section (default shed policy from ``$REPRO_ADMISSION``) applies
-        when omitted.
+        max_wait_ms=50.0)`` also sheds arrivals whose estimated queue
+        wait exceeds 50 ms.  ``max_wait_ms`` (default 25 ms) is the
+        service's one queue-wait budget; no admitted request waits for
+        it to run out.  The config's ``service.admission`` section
+        (default shed policy from ``$REPRO_ADMISSION``) applies when
+        omitted.
 
         ``http_port`` turns the frontend into a *started*
         :class:`~repro.serving.LinkingHTTPServer` over the async service
         (``http_port=0`` binds an ephemeral port, read back from
         ``server.port``).  The config's ``service.http`` section supplies
-        the defaults; ``http_host`` / ``deadline_ms`` override it:
+        the defaults; ``http_host`` overrides its host:
 
             server = linker.serve(http_port=0)
             with LinkerClient(port=server.port) as client:
@@ -352,14 +350,8 @@ class Linker:
                 base,
                 port=http_port,
                 host=http_host if http_host is not None else base.host,
-                deadline_ms=deadline_ms if deadline_ms is not None else base.deadline_ms,
             )
-            async_service = AsyncLinkingService(
-                service, deadline_ms=http_config.deadline_ms
-            )
-            return LinkingHTTPServer(async_service, http_config).start()
+            return LinkingHTTPServer(AsyncLinkingService(service), http_config).start()
         if async_:
-            return AsyncLinkingService(
-                service, deadline_ms=25.0 if deadline_ms is None else deadline_ms
-            )
+            return AsyncLinkingService(service)
         return service

@@ -310,8 +310,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     linker = _load_checkpoint(args.checkpoint)
     try:
-        if args.deadline_ms <= 0:
-            raise ValueError("--deadline-ms must be > 0")
         if args.candidates is not None:
             retrieval = None
             if args.kb_bundle is not None:
@@ -336,7 +334,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if (
             args.shed_policy is not None
             or args.max_queue is not None
-            or args.adaptive
+            or args.max_wait_ms is not None
         ):
             from dataclasses import replace
 
@@ -347,16 +345,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             overrides = {}
             if args.shed_policy is not None:
                 overrides["shed_policy"] = args.shed_policy
-            elif args.max_queue is not None or args.adaptive:
+            elif args.max_queue is not None:
                 base = AdmissionConfig()
                 if base.shed_policy == "none":
-                    # --max-queue / --adaptive without an explicit policy
-                    # (or env default) means "bound the queue by depth".
+                    # --max-queue without an explicit policy (or env
+                    # default) means "bound the queue by depth".
                     overrides["shed_policy"] = "depth"
             if args.max_queue is not None:
                 overrides["max_queue"] = args.max_queue
-            if args.adaptive:
-                overrides["adaptive"] = True
+            if args.max_wait_ms is not None:
+                overrides["max_wait_ms"] = args.max_wait_ms
             admission = replace(AdmissionConfig(), **overrides)
         service = linker.serve(
             max_batch_size=args.batch_size,
@@ -377,7 +375,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             server = LinkingHTTPServer(
                 service,
-                HttpConfig(host=args.host, port=args.http, deadline_ms=args.deadline_ms),
+                HttpConfig(host=args.host, port=args.http),
             )
         except ValueError as exc:
             service.close()
@@ -431,7 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 linker, sys.stdin, "stdin", args.limit, on_error=report_bad_line
             )
             if args.use_async:
-                with AsyncLinkingService(service, deadline_ms=args.deadline_ms) as async_service:
+                with AsyncLinkingService(service) as async_service:
                     for prediction in async_service.link_stream(snippets):
                         emit(prediction)
                         served += 1
@@ -459,7 +457,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if not snippets:
                 raise SystemExit("no snippets to link")
             if args.use_async:
-                with AsyncLinkingService(service, deadline_ms=args.deadline_ms) as async_service:
+                with AsyncLinkingService(service) as async_service:
                     predictions = async_service.link_batch(snippets)
             else:
                 predictions = service.link_batch(snippets, top_k=args.top_k)
@@ -784,13 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue requests through the work-conserving micro-batch scheduler",
     )
     p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=25.0,
-        help="queue-wait budget in ms (--async, --http): the default budget of "
-        "--shed-policy wait; micro-batches run as soon as the worker is free",
-    )
-    p.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -852,10 +843,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(implies --shed-policy depth unless one is set)",
     )
     p.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="AIMD-tune the micro-batch size from observed "
-        "queue-wait p95s (implies --shed-policy depth unless one is set)",
+        "--max-wait-ms",
+        type=float,
+        default=None,
+        metavar="MS",
+        help="queue-wait budget (--async, --http; default 25): --shed-policy "
+        "wait sheds past it and it floors Retry-After; micro-batches run "
+        "as soon as the worker is free",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address for --http")
     p.add_argument("--json", action="store_true")

@@ -13,30 +13,17 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from ..autograd import (  # noqa: F401
-    MLP,
-    Activation,
-    Bilinear,
-    Linear,
-    Module,
-    Tensor,
-    concat,
-    rows_dot,
-)
+from ..autograd import MLP, Bilinear, Module, Tensor, concat, rows_dot
 
 
 class Matcher(Module):
     """Common interface of the three matching modules.
 
-    ``forward`` is the trainable row-aligned pair scorer.  ``one_vs_many``
-    is the inference fast path used by candidate ranking and the serving
-    layer: it scores one query embedding against ``[n, d]`` candidate
-    embeddings with plain numpy matrix algebra instead of tiling the
-    query row ``n`` times and looping through autograd ops.
+    ``forward`` is the row-aligned pair scorer, used for training and
+    inference alike: every ranking path (the pipeline, the batched and
+    sharded services) scores pairs through
+    :func:`repro.core.model.pair_logits`, which calls it.
     """
-
-    def one_vs_many(self, h_query_row: np.ndarray, h_candidates: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 class DotProductMatcher(Matcher):
@@ -58,9 +45,6 @@ class DotProductMatcher(Matcher):
     def forward(self, h_query: Tensor, h_candidate: Tensor) -> Tensor:
         return rows_dot(h_query, h_candidate) * self.scale + self.bias
 
-    def one_vs_many(self, h_query_row: np.ndarray, h_candidates: np.ndarray) -> np.ndarray:
-        return h_candidates @ h_query_row * self.scale.data[0] + self.bias.data[0]
-
 
 class MLPMatcher(Matcher):
     """One-hidden-layer MLP over concatenated pair embeddings."""
@@ -73,22 +57,6 @@ class MLPMatcher(Matcher):
     def forward(self, h_query: Tensor, h_candidate: Tensor) -> Tensor:
         return self.mlp(concat([h_query, h_candidate], axis=1)).reshape(-1)
 
-    def one_vs_many(self, h_query_row: np.ndarray, h_candidates: np.ndarray) -> np.ndarray:
-        # The first Linear sees concat([q, c]); split its weight so the
-        # query half is computed once instead of per candidate.
-        first, *rest = list(self.mlp.net.layers)
-        w, b = first.weight.data, first.bias.data
-        hidden = h_query_row @ w[:, : self.dim].T + h_candidates @ w[:, self.dim :].T + b
-        for layer in rest:
-            if isinstance(layer, Activation):
-                hidden = np.maximum(hidden, 0.0)
-            elif isinstance(layer, Linear):
-                hidden = hidden @ layer.weight.data.T
-                if layer.bias is not None:
-                    hidden = hidden + layer.bias.data
-            # Dropout layers are identity in eval mode.
-        return hidden.reshape(-1)
-
 
 class BilinearMatcher(Matcher):
     """Log-bilinear pair scorer ``h_u^T W h_v + b``."""
@@ -100,10 +68,6 @@ class BilinearMatcher(Matcher):
 
     def forward(self, h_query: Tensor, h_candidate: Tensor) -> Tensor:
         return self.bilinear(h_query, h_candidate)
-
-    def one_vs_many(self, h_query_row: np.ndarray, h_candidates: np.ndarray) -> np.ndarray:
-        projected = h_query_row @ self.bilinear.weight.data
-        return h_candidates @ projected + self.bilinear.bias.data[0]
 
 
 _MATCHERS: Dict[str, Callable[..., Module]] = {

@@ -8,7 +8,7 @@ and :class:`ServiceStats` telemetry.  On top of it,
 :class:`AsyncLinkingService` (``scheduler``) accepts requests onto a
 queue and runs them in work-conserving micro-batches (whatever is
 queued whenever its worker is free, so a lone request runs at once and
-batches grow with load; ``deadline_ms`` is the queue-wait budget), and
+batches grow with load), and
 :class:`ShardedKB` (``sharding``) partitions the KB and its embedding
 cache for fan-out candidate scoring (``ServiceConfig(num_shards=N)``).
 Sharded scoring runs on threads by default or — with
@@ -29,11 +29,10 @@ schema-versioned wire format of ``wire`` (:class:`LinkRequest`,
 Overload protection is the ``admission`` module:
 :class:`AdmissionConfig` (the ``admission`` section of
 :class:`ServiceConfig`; default shed policy from ``$REPRO_ADMISSION``)
-bounds the scheduler's queue with priority classes, sheds the overflow
-as structured 429s with ``Retry-After``
-(:class:`AdmissionError` / :class:`LinkerOverloadedError`), and — with
-``adaptive=True`` — lets the :class:`AdaptiveTuner` AIMD-adjust the
-max batch size from observed queue-wait p95s.
+bounds the scheduler's queue with priority classes and sheds the
+overflow as structured 429s with ``Retry-After``
+(:class:`AdmissionError` / :class:`LinkerOverloadedError`); its
+``max_wait_ms`` is the service's one queue-wait budget.
 See ``examples/serving_quickstart.py``, ``examples/http_quickstart.py``
 and the ``repro serve`` CLI command (``repro serve --http PORT``).
 """
@@ -41,7 +40,6 @@ and the ``repro serve`` CLI command (``repro serve --http PORT``).
 from .admission import (  # noqa: F401
     PRIORITIES,
     SHED_POLICIES,
-    AdaptiveTuner,
     AdmissionConfig,
     AdmissionController,
     AdmissionError,
@@ -98,7 +96,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionError",
-    "AdaptiveTuner",
     "PRIORITIES",
     "SHED_POLICIES",
     "WIRE_SCHEMA_VERSION",

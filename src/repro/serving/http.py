@@ -113,11 +113,11 @@ class LinkingHTTPServer:
     Accepts a ready :class:`AsyncLinkingService`, or anything an async
     service can wrap — a :class:`LinkingService`, a raw
     :class:`EDPipeline`, or a :class:`repro.api.Linker` facade — in which
-    case the scheduler is built here with the config's ``deadline_ms``
-    budget.  The server owns what it builds (and adopts what it is
-    given): :meth:`close` drains the HTTP layer first, then closes the
-    async service, which drains its queue and shard workers on the
-    injected clock they already carry.
+    case the scheduler is built here under the service config's
+    ``admission`` section.  The server owns what it builds (and adopts
+    what it is given): :meth:`close` drains the HTTP layer first, then
+    closes the async service, which drains its queue and shard workers
+    on the injected clock they already carry.
 
         server = LinkingHTTPServer(linker.serve(), HttpConfig(port=0))
         server.start()                      # or: with server: ...
@@ -133,9 +133,7 @@ class LinkingHTTPServer:
             if not isinstance(service, (LinkingService, EDPipeline)):
                 # A Linker facade (duck-typed; http sits below the api layer).
                 service = getattr(service, "pipeline", service)
-            self.service = AsyncLinkingService(
-                service, deadline_ms=self.config.deadline_ms
-            )
+            self.service = AsyncLinkingService(service)
         self.host = self.config.host
         self.port = self.config.port
         self._loop: Optional[asyncio.AbstractEventLoop] = None

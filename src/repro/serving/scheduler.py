@@ -9,9 +9,10 @@ for company; under load, requests pile up while a batch runs, so the
 next batch grows on its own (Clipper-style dynamic batching).  The
 worker only sleeps while the queue is empty.
 
-``deadline_ms`` is not a batching timer.  It is the queue-wait budget:
-the ``"wait"`` shed policy of the admission gate defaults to it, and the
-latency and overload benches gate the observed queue wait against it.
+There is no batching timer.  The one queue-wait budget is the admission
+gate's ``AdmissionConfig.max_wait_ms``: the ``"wait"`` shed policy sheds
+against it, and the latency and overload benches gate the observed
+queue wait on it.
 
 The queue itself lives in :class:`MicroBatcher`, which holds no threads
 and reads no clock, so its pop order is unit-testable without sleeps.
@@ -45,7 +46,6 @@ from ..text.corpus import Snippet
 from .admission import (
     DEFAULT_PRIORITY,
     PRIORITIES,
-    AdaptiveTuner,
     AdmissionConfig,
     AdmissionController,
 )
@@ -108,7 +108,8 @@ class AsyncLinkingService:
     ``link_stream`` are order-preserving conveniences on top.  Accepts a
     fitted :class:`EDPipeline` (a ``LinkingService`` is built from
     ``config``) or an existing ``LinkingService`` (e.g. one configured
-    with ``num_shards > 1`` for sharded scoring).
+    with ``num_shards > 1`` for sharded scoring).  ``admission``
+    overrides the service config's ``admission`` section.
     """
 
     def __init__(
@@ -116,13 +117,9 @@ class AsyncLinkingService:
         pipeline_or_service: Union[EDPipeline, LinkingService],
         config: Optional[ServiceConfig] = None,
         *,
-        deadline_ms: float = 25.0,
         max_batch_size: Optional[int] = None,
-        max_in_flight: Optional[int] = None,
         admission: Optional[AdmissionConfig] = None,
     ):
-        if deadline_ms < 0:
-            raise ValueError("deadline_ms must be >= 0")
         if isinstance(pipeline_or_service, LinkingService):
             if config is not None:
                 raise ValueError("pass config to the LinkingService, not here")
@@ -130,18 +127,13 @@ class AsyncLinkingService:
         else:
             self.service = LinkingService(pipeline_or_service, config)
         # Latency and queue wait are measured on the monotonic wall
-        # clock; fake-clock tests target AdmissionController /
-        # AdaptiveTuner, which take `now` from their callers.
+        # clock; the admission policy reads no clock at all.
         self.clock = time.monotonic
         batch = max_batch_size or self.service.config.max_batch_size
         self.batcher = MicroBatcher(batch)
-        self.max_in_flight = max_in_flight or max(64, 4 * batch)
-        self.admission_config = admission or self.service.config.admission
-        self.admission = AdmissionController(self.admission_config, deadline_ms)
-        self.tuner: Optional[AdaptiveTuner] = (
-            AdaptiveTuner(self.admission_config, deadline_ms, batch)
-            if self.admission_config.adaptive
-            else None
+        self.max_in_flight = max(64, 4 * batch)
+        self.admission = AdmissionController(
+            admission or self.service.config.admission
         )
         self._cond = threading.Condition()
         self._closed = False
@@ -288,22 +280,8 @@ class AsyncLinkingService:
                 done_at - request.enqueued_at, formed_at - request.enqueued_at
             )
             request.future.set_result(prediction)
-        # Feed the policy loop: the controller's estimated-wait model
-        # tracks the real drain rate, and the tuner AIMD-adjusts the max
-        # batch size from the observed queue waits.
+        # The controller's estimated-wait model tracks the real drain rate.
         self.admission.observe_batch(len(live), done_at - formed_at)
-        if self.tuner is not None:
-            adjusted = False
-            for request in live:
-                adjusted |= self.tuner.observe(
-                    (formed_at - request.enqueued_at) * 1000.0, done_at
-                )
-            if adjusted:
-                with self._cond:
-                    self.batcher.max_batch_size = self.tuner.batch_size
-            self.stats.record_tuner(
-                self.tuner.deadline_ms, self.tuner.batch_size, self.tuner.adjustments
-            )
 
     # ------------------------------------------------------------------
     # Lifecycle

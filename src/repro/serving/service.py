@@ -95,10 +95,6 @@ class HttpConfig:
     port: int = 8080  # 0 binds an ephemeral port (see server.port)
     max_batch: int = 256  # items per /link request; more is a 413
     max_body_bytes: int = 4 * 1024 * 1024  # request body cap; more is a 413
-    # Queue-wait budget of the wrapped async service (the "wait" shed
-    # policy's default); dispatch is work-conserving, so no request
-    # waits for it to run out.
-    deadline_ms: float = 25.0
 
     def __post_init__(self):
         if not (0 <= self.port <= 65535):
@@ -107,8 +103,6 @@ class HttpConfig:
             raise ValueError("http max_batch must be >= 1")
         if self.max_body_bytes < 1024:
             raise ValueError("http max_body_bytes must be >= 1024")
-        if self.deadline_ms <= 0:
-            raise ValueError("http deadline_ms must be > 0")
 
 
 @dataclass
@@ -121,7 +115,6 @@ class ServiceConfig:
     restrict_to_candidates: bool = True
     ref_cache_path: Optional[str] = None  # persist KB embeddings here
     num_shards: int = 1  # KB shards for fan-out candidate scoring
-    shard_workers: Optional[int] = None  # worker threads (default: one per shard)
     # Shard execution backend: "thread" (in-process pool) or "process"
     # (long-lived forked workers, one GIL per shard).  Defaults to the
     # REPRO_SHARD_BACKEND environment variable when set.
@@ -136,9 +129,9 @@ class ServiceConfig:
     # strictly coerced.
     storage: StorageConfig = field(default_factory=StorageConfig)
     # Overload policy of the async scheduler (repro.serving.admission):
-    # queue bound, shed policy (default $REPRO_ADMISSION), priorities,
-    # and the adaptive batch-size tuner.  Same strict dict coercion
-    # as http/storage, so it round-trips through LinkerConfig JSON.
+    # shed policy (default $REPRO_ADMISSION), queue bound and the one
+    # queue-wait budget.  Same strict dict coercion as http/storage, so
+    # it round-trips through LinkerConfig JSON.
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
 
     def __post_init__(self):
@@ -301,7 +294,6 @@ class LinkingService:
             self.pipeline,
             self.config.num_shards,
             ref_embeddings=h_ref,
-            max_workers=self.config.shard_workers,
             backend=self.config.shard_backend,
             storage=self.config.storage,
             ref_features=x_ref,

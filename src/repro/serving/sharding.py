@@ -87,7 +87,6 @@ class ShardedKB:
         pipeline: EDPipeline,
         num_shards: int,
         ref_embeddings: Optional[np.ndarray] = None,
-        max_workers: Optional[int] = None,
         backend: Optional[str] = None,
         storage: Optional[StorageConfig] = None,
         ref_features: Optional[np.ndarray] = None,
@@ -133,9 +132,9 @@ class ShardedKB:
             if self.backend == "process":
                 self._pool = self._build_pool()
             if self._pool is None:
-                workers = max_workers or min(num_shards, os.cpu_count() or 1)
                 self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="kb-shard"
+                    max_workers=min(num_shards, os.cpu_count() or 1),
+                    thread_name_prefix="kb-shard",
                 )
         else:
             # One shard scores inline — reporting "process" here would

@@ -13,7 +13,7 @@ CLI's ``--json``) or a small aligned table (for humans).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List
 
 import numpy as np
@@ -58,19 +58,21 @@ class ServiceStats:
     candidate_index_hits: int = 0
     candidate_fallbacks: int = 0
     # Admission / overload telemetry (repro.serving.admission): admitted
-    # and shed requests per priority class, plus the adaptive tuner's
-    # live policy (gauges; tuner_batch_size stays 0 when tuning is off).
+    # and shed requests per priority class.
     admitted: Dict[str, int] = field(default_factory=dict)
     shed: Dict[str, int] = field(default_factory=dict)
-    tuner_deadline_ms: float = 0.0
-    tuner_batch_size: int = 0
-    tuner_adjustments: int = 0
     # Per-shard telemetry (repro.serving.sharding/workers): lifetime
     # worker respawns and per-shard score calls / wall time, snapshotted
     # from the sharded backend's own counters.
     shard_respawns: int = 0
     shard_score_calls: List[int] = field(default_factory=list)
     shard_score_seconds: List[float] = field(default_factory=list)
+    # Lifetime async-request count and latency / queue-wait sums (the
+    # Prometheus summaries' _count and _sum; the windows below cap at
+    # LATENCY_WINDOW samples).
+    latency_count: int = 0
+    latency_ms_sum: float = 0.0
+    queue_wait_ms_sum: float = 0.0
     # submit -> result / submit -> batch formed, most recent LATENCY_WINDOW
     latencies_ms: Deque[float] = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
     queue_waits_ms: Deque[float] = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
@@ -113,6 +115,9 @@ class ServiceStats:
 
     def record_latency(self, total_seconds: float, queue_wait_seconds: float = 0.0) -> None:
         """One async request's end-to-end latency and its queue wait."""
+        self.latency_count += 1
+        self.latency_ms_sum += total_seconds * 1000.0
+        self.queue_wait_ms_sum += queue_wait_seconds * 1000.0
         self.latencies_ms.append(total_seconds * 1000.0)
         self.queue_waits_ms.append(queue_wait_seconds * 1000.0)
 
@@ -137,14 +142,6 @@ class ServiceStats:
     def record_shed(self, priority: str) -> None:
         """One request shed at the gate under ``priority``."""
         self.shed[priority] = self.shed.get(priority, 0) + 1
-
-    def record_tuner(
-        self, deadline_ms: float, batch_size: int, adjustments: int
-    ) -> None:
-        """Snapshot of the adaptive tuner's live policy (gauges)."""
-        self.tuner_deadline_ms = deadline_ms
-        self.tuner_batch_size = batch_size
-        self.tuner_adjustments = adjustments
 
     def record_shards(
         self, respawns: int, calls: List[int], seconds: List[float]
@@ -240,14 +237,6 @@ class ServiceStats:
             "shed": dict(self.shed),
             "shed_rate": round(self.shed_rate, 4),
         }
-        if self.tuner_batch_size > 0:
-            # Only adaptive serving reports a tuner; the payload keeps
-            # its original shape otherwise.
-            payload.update(
-                tuner_deadline_ms=round(self.tuner_deadline_ms, 3),
-                tuner_batch_size=self.tuner_batch_size,
-                tuner_adjustments=self.tuner_adjustments,
-            )
         if self.shard_score_calls:
             payload.update(
                 shard_respawns=self.shard_respawns,
@@ -301,9 +290,6 @@ class ServiceStats:
         gauges = [
             ("cache_hit_rate", self.cache_hit_rate, "result cache hit rate"),
             ("admission_shed_rate", self.shed_rate, "fraction of gate arrivals shed"),
-            ("tuner_deadline_ms", self.tuner_deadline_ms, "adaptive tuner's deadline output (drives no dispatch)"),
-            ("tuner_batch_size", self.tuner_batch_size, "adaptive tuner's live max batch size"),
-            ("tuner_adjustments", self.tuner_adjustments, "adaptive tuner policy adjustments"),
             ("mean_batch_size", self.mean_batch_size, "mean micro-batch size"),
             ("mentions_per_second", self.mentions_per_second, "compute-path throughput"),
             ("storage_payload_ship_bytes", self.payload_ship_bytes, "payload bytes shipped over worker pipes"),
@@ -356,32 +342,29 @@ class ServiceStats:
                 f"# TYPE {prefix}_{name} gauge",
                 f"{prefix}_{name} {value}",
             ]
-        for name, percentile_of in (
-            ("request_latency_ms", self.latency_percentile),
-            ("queue_wait_ms", self.queue_wait_percentile),
+        # Summaries: quantiles over the sliding window, _count and _sum
+        # over the service's lifetime (so rate() keeps working past
+        # LATENCY_WINDOW samples).
+        for name, help_text, percentile_of, count, total in (
+            ("request_latency_ms", "async request latency",
+             self.latency_percentile, self.latency_count, self.latency_ms_sum),
+            ("queue_wait_ms", "async request queue wait",
+             self.queue_wait_percentile, self.latency_count, self.queue_wait_ms_sum),
+            ("candidates_stage_ms", "candidate-stage latency",
+             self.candidate_percentile, self.candidate_lookups,
+             self.candidate_seconds * 1000.0),
         ):
             lines += [
-                f"# HELP {prefix}_{name} async request timing (sliding window)",
+                f"# HELP {prefix}_{name} {help_text} (quantiles over a sliding window)",
                 f"# TYPE {prefix}_{name} summary",
             ]
-            if self.latencies_ms:
+            if count:
                 for quantile in (0.5, 0.95):
                     lines.append(
                         f'{prefix}_{name}{{quantile="{quantile}"}} '
                         f"{percentile_of(quantile * 100)}"
                     )
-            lines.append(f"{prefix}_{name}_count {len(self.latencies_ms)}")
-        lines += [
-            f"# HELP {prefix}_candidates_stage_ms candidate-stage latency (sliding window)",
-            f"# TYPE {prefix}_candidates_stage_ms summary",
-        ]
-        if self.candidate_ms:
-            for quantile in (0.5, 0.95):
-                lines.append(
-                    f'{prefix}_candidates_stage_ms{{quantile="{quantile}"}} '
-                    f"{self.candidate_percentile(quantile * 100)}"
-                )
-        lines.append(f"{prefix}_candidates_stage_ms_count {len(self.candidate_ms)}")
+            lines += [f"{prefix}_{name}_count {count}", f"{prefix}_{name}_sum {total}"]
         lines += [
             # Info-style metrics carrying backend/generator names as labels.
             f"# HELP {prefix}_storage_info KB/embedding storage backend",
@@ -394,34 +377,7 @@ class ServiceStats:
         return "\n".join(lines) + "\n"
 
     def reset(self) -> None:
-        self.requests = 0
-        self.mentions = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.batches = 0
-        self.batched_mentions = 0
-        self.largest_batch = 0
-        self.batch_sizes = deque(maxlen=LATENCY_WINDOW)
-        self.ref_refreshes = 0
-        self.compute_seconds = 0.0
-        self.storage_backend = "memory"
-        self.payload_ship_bytes = 0
-        self.arena_segments = 0
-        self.publishes = 0
-        self.publish_seconds = 0.0
-        self.candidate_generator = "exact"
-        self.candidate_lookups = 0
-        self.candidate_seconds = 0.0
-        self.candidate_index_hits = 0
-        self.candidate_fallbacks = 0
-        self.admitted = {}
-        self.shed = {}
-        self.tuner_deadline_ms = 0.0
-        self.tuner_batch_size = 0
-        self.tuner_adjustments = 0
-        self.shard_respawns = 0
-        self.shard_score_calls = []
-        self.shard_score_seconds = []
-        self.latencies_ms = deque(maxlen=LATENCY_WINDOW)
-        self.queue_waits_ms = deque(maxlen=LATENCY_WINDOW)
-        self.candidate_ms = deque(maxlen=LATENCY_WINDOW)
+        """Every field back to its default."""
+        fresh = ServiceStats()
+        for f in fields(self):
+            setattr(self, f.name, getattr(fresh, f.name))

@@ -1,5 +1,7 @@
 """Fixtures shared across the test modules."""
 
+import json
+
 import pytest
 
 from repro.serving import AsyncLinkingService
@@ -29,3 +31,40 @@ def stalled_async_service():
     :class:`StalledAsyncService` (same arguments as
     :class:`AsyncLinkingService`)."""
     return StalledAsyncService
+
+
+#: the schema-v1 admission keys that only the (since removed) AIMD tuner
+#: read, with their v1 defaults
+V1_TUNER_DEFAULTS = dict(
+    adaptive=False,
+    target_p95_ms=0.0,
+    tuner_window=64,
+    tuner_interval_ms=250.0,
+    min_deadline_ms=5.0,
+    max_deadline_ms=250.0,
+    min_batch_size=1,
+)
+
+
+def _as_v1(payload, http_deadline_ms=25.0, **admission):
+    """A copy of a v2 ``LinkerConfig`` dict in the schema-v1 layout:
+    the tuner keys and ``service.shard_workers`` present, the budget in
+    ``http.deadline_ms`` (when there is an http section), and
+    ``admission.max_wait_ms`` 0 ("use the deadline") unless overridden
+    in ``admission``."""
+    payload = json.loads(json.dumps(payload))
+    payload["schema_version"] = 1
+    service = payload["service"]
+    service["shard_workers"] = None
+    service["admission"].update(V1_TUNER_DEFAULTS, max_wait_ms=0.0)
+    service["admission"].update(admission)
+    if service["http"] is not None:
+        service["http"]["deadline_ms"] = http_deadline_ms
+    return payload
+
+
+@pytest.fixture
+def as_v1_config():
+    """``as_v1_config(payload, http_deadline_ms=25.0, **admission)``
+    rewrites a ``LinkerConfig.to_dict()`` payload as schema v1."""
+    return _as_v1

@@ -39,7 +39,7 @@ from repro.core import (
     save_pipeline,
 )
 from repro.datasets import load_dataset
-from repro.serving import ServiceConfig
+from repro.serving import AdmissionConfig, HttpConfig, ServiceConfig
 from repro.text import HashingNgramEmbedder
 
 SMALL_MODEL = dict(variant="graphsage", num_layers=2, feature_dim=32, hidden_dim=32)
@@ -282,6 +282,78 @@ class TestLinkerConfigRejection:
             LinkerConfig(model=model)
 
 
+class TestSchemaV1Upgrade:
+    """Schema-v1 payloads (AIMD tuner keys, ``shard_workers``, the
+    budget in ``http.deadline_ms``) load as v2; v2 stays strict."""
+
+    def test_every_removed_key_upgrades(self, as_v1_config):
+        config = small_config(service=ServiceConfig(http=HttpConfig(port=9090)))
+        payload = as_v1_config(
+            config.to_dict(),
+            http_deadline_ms=60.0,
+            adaptive=True,
+            target_p95_ms=30.0,
+            tuner_window=8,
+            tuner_interval_ms=100.0,
+            min_deadline_ms=2.0,
+            max_deadline_ms=90.0,
+            min_batch_size=4,
+        )
+        payload["service"]["shard_workers"] = 2
+        snapshot = json.dumps(payload, sort_keys=True)
+        loaded = LinkerConfig.from_dict(payload)
+        assert json.dumps(payload, sort_keys=True) == snapshot  # input untouched
+        assert loaded.service.admission.max_wait_ms == 60.0
+        assert loaded.service.http == HttpConfig(port=9090)
+        assert loaded.to_dict()["schema_version"] == CONFIG_SCHEMA_VERSION == 2
+        expected = config.to_dict()
+        expected["service"]["admission"]["max_wait_ms"] = 60.0
+        assert loaded.to_dict() == expected
+
+    def test_explicit_max_wait_is_kept(self, as_v1_config):
+        config = small_config(service=ServiceConfig(http=HttpConfig(port=0)))
+        payload = as_v1_config(config.to_dict(), http_deadline_ms=60.0, max_wait_ms=40.0)
+        assert LinkerConfig.from_dict(payload).service.admission.max_wait_ms == 40.0
+
+    def test_inherited_budget_without_http_section_is_25ms(self, as_v1_config):
+        payload = as_v1_config(small_config().to_dict())
+        assert payload["service"]["http"] is None
+        assert LinkerConfig.from_dict(payload).service.admission.max_wait_ms == 25.0
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("admission", "adaptive", True),
+            ("admission", "tuner_window", 64),
+            ("admission", "min_batch_size", 1),
+            (None, "shard_workers", 2),
+            ("http", "deadline_ms", 60.0),
+        ],
+    )
+    def test_v2_payload_with_removed_key_rejected(self, section, key, value):
+        payload = small_config(
+            service=ServiceConfig(http=HttpConfig(port=0))
+        ).to_dict()
+        target = payload["service"] if section is None else payload["service"][section]
+        target[key] = value
+        with pytest.raises(ValueError, match=key):
+            LinkerConfig.from_dict(payload)
+
+    def test_v1_checkpoint_loads_bit_identically(
+        self, dataset, trained, tmp_path, as_v1_config
+    ):
+        trained.save(str(tmp_path))
+        path = tmp_path / LINKER_CONFIG_FILE
+        path.write_text(json.dumps(as_v1_config(json.loads(path.read_text()))))
+        loaded = Linker.load(str(tmp_path))
+        assert loaded.config.service == trained.config.service
+        for snippet in dataset.test[:6]:
+            a = loaded.disambiguate_snippet(snippet, top_k=5)
+            b = trained.disambiguate_snippet(snippet, top_k=5)
+            assert a.ranked_entities == b.ranked_entities
+            assert a.scores == b.scores
+
+
 class TestLinkerConstruction:
     def test_matches_direct_pipeline(self, dataset):
         # Same seed, same components -> identical weights and predictions
@@ -365,7 +437,9 @@ class TestLinkerPersistence:
             assert prediction.ranked_entities == ref.ranked_entities
             assert prediction.scores == ref.scores
 
-        with loaded.serve(async_=True, deadline_ms=15.0, cache_size=0) as async_service:
+        with loaded.serve(
+            async_=True, admission=AdmissionConfig(max_wait_ms=15.0), cache_size=0
+        ) as async_service:
             futures = [async_service.submit(s) for s in dataset.test[:6]]
             for ref, future in zip(reference, futures):
                 prediction = future.result(timeout=30.0)

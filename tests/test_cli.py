@@ -219,7 +219,7 @@ class TestServe:
                 "--checkpoint", checkpoint,
                 "--input", "-",
                 "--async",
-                "--deadline-ms", "20",
+                "--max-wait-ms", "20",
                 "--shards", "2",
                 "--json",
                 "--stats",
@@ -300,7 +300,7 @@ class TestServe:
         ]
         assert main(argv) == 0
         sync_out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert main(argv + ["--async", "--deadline-ms", "15", "--shards", "2"]) == 0
+        assert main(argv + ["--async", "--max-wait-ms", "15", "--shards", "2"]) == 0
         async_out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         for a, b in zip(sync_out, async_out):
             assert a["mention"] == b["mention"]
@@ -309,14 +309,14 @@ class TestServe:
             ]
 
     def test_bad_deadline_rejected(self, checkpoint):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="max_wait_ms must be > 0"):
             main(
                 [
                     "serve",
                     "--checkpoint", checkpoint,
                     "--input", "-",
                     "--async",
-                    "--deadline-ms", "0",
+                    "--max-wait-ms", "0",
                 ]
             )
 
@@ -347,6 +347,13 @@ class TestConfig:
         out = capsys.readouterr().out
         assert "valid LinkerConfig" in out
         assert "variant=graphsage" in out
+
+    def test_validate_accepts_schema_v1(self, tmp_path, capsys, as_v1_config):
+        path = tmp_path / "linker.json"
+        assert main(["config", "dump", "--variant", "graphsage", "--out", str(path)]) == 0
+        path.write_text(json.dumps(as_v1_config(json.loads(path.read_text()), adaptive=True)))
+        assert main(["config", "validate", str(path)]) == 0
+        assert "valid LinkerConfig" in capsys.readouterr().out
 
     def test_validate_rejects_bad_config(self, tmp_path):
         path = tmp_path / "bad.json"

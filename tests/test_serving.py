@@ -12,8 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core import EDPipeline, ModelConfig, TrainConfig, make_matcher
-from repro.autograd import Tensor
+from repro.core import EDPipeline, ModelConfig, TrainConfig
 from repro.datasets import load_dataset
 from repro.serving import LinkingService, LRUCache, ServiceConfig, ServiceStats
 from repro.serving.stats import LATENCY_WINDOW
@@ -302,6 +301,28 @@ class TestStats:
         assert stats.mean_batch_size == sum(sizes) / len(sizes)
         assert stats.max_batch_size == 97
 
+    def test_summary_count_and_sum_are_lifetime(self):
+        # _count/_sum must keep counting past the quantile window, or
+        # rate() over them reads 0 once the window is full.
+        stats = ServiceStats()
+        n = LATENCY_WINDOW + 10
+        for _ in range(n):
+            stats.record_latency(0.002, 0.001)
+            stats.record_candidates(0.0005)
+        assert len(stats.latencies_ms) == LATENCY_WINDOW
+        series = dict(
+            line.rsplit(" ", 1)
+            for line in stats.to_prometheus().splitlines()
+            if not line.startswith("#")
+        )
+        for name, each_ms in (
+            ("request_latency_ms", 2.0),
+            ("queue_wait_ms", 1.0),
+            ("candidates_stage_ms", 0.5),
+        ):
+            assert int(series[f"repro_{name}_count"]) == n
+            assert float(series[f"repro_{name}_sum"]) == pytest.approx(n * each_ms)
+
     def test_hit_rate(self, pipeline, dataset):
         service = LinkingService(pipeline, ServiceConfig(cache_size=512))
         service.link_batch(dataset.test[:4])
@@ -325,20 +346,6 @@ class TestLRUCache:
         cache.put("a", 1)
         assert cache.get("a") is None
         assert len(cache) == 0
-
-
-class TestMatcherFastPaths:
-    @pytest.mark.parametrize("name", ["dot", "mlp", "bilinear"])
-    def test_one_vs_many_matches_forward(self, name):
-        rng = np.random.default_rng(7)
-        matcher = make_matcher(name, 16, rng)
-        matcher.eval()
-        query = rng.normal(size=16).astype(np.float32)
-        candidates = rng.normal(size=(11, 16)).astype(np.float32)
-        tiled = Tensor(np.repeat(query.reshape(1, -1), 11, axis=0))
-        expected = matcher(tiled, Tensor(candidates)).data.reshape(-1)
-        fast = matcher.one_vs_many(query, candidates)
-        assert np.allclose(fast, expected, atol=1e-5)
 
 
 class TestStagedPipelineAPI:

@@ -27,6 +27,7 @@ from repro.core import EDPipeline, ModelConfig, TrainConfig
 from repro.datasets import load_dataset
 from repro.graph.batch import batch_graphs
 from repro.serving import (
+    AdmissionConfig,
     AsyncLinkingService,
     LinkingService,
     MicroBatcher,
@@ -407,7 +408,7 @@ class TestAsyncLinkingService:
         with AsyncLinkingService(
             pipeline,
             ServiceConfig(max_batch_size=8, cache_size=0),
-            deadline_ms=20.0,
+            admission=AdmissionConfig(max_wait_ms=20.0),
         ) as service:
             assert_predictions_match(sequential, service.link_batch(dataset.test))
 
@@ -416,11 +417,11 @@ class TestAsyncLinkingService:
             pipeline,
             ServiceConfig(max_batch_size=8, cache_size=0, num_shards=env_shards(2)),
         )
-        with AsyncLinkingService(inner, deadline_ms=20.0) as service:
+        with AsyncLinkingService(inner, admission=AdmissionConfig(max_wait_ms=20.0)) as service:
             assert_predictions_match(sequential, service.link_batch(dataset.test))
 
     def test_submit_returns_future(self, pipeline, dataset):
-        with AsyncLinkingService(pipeline, deadline_ms=10.0) as service:
+        with AsyncLinkingService(pipeline, admission=AdmissionConfig(max_wait_ms=10.0)) as service:
             future = service.submit(dataset.test[0])
             assert isinstance(future, Future)
             prediction = future.result(timeout=30.0)
@@ -428,29 +429,34 @@ class TestAsyncLinkingService:
             assert prediction.ranked_entities == expected.ranked_entities
 
     def test_latency_stats_recorded(self, pipeline, dataset):
-        with AsyncLinkingService(pipeline, deadline_ms=10.0) as service:
+        with AsyncLinkingService(pipeline, admission=AdmissionConfig(max_wait_ms=10.0)) as service:
             service.link_batch(dataset.test[:5])
             stats = service.stats
             assert len(stats.latencies_ms) == 5
             assert len(stats.queue_waits_ms) == 5
+            assert stats.latency_count == 5
+            assert stats.latency_ms_sum == pytest.approx(sum(stats.latencies_ms))
+            assert stats.queue_wait_ms_sum == pytest.approx(sum(stats.queue_waits_ms))
             assert stats.latency_percentile(95) >= stats.latency_percentile(50) > 0
             payload = stats.to_dict()
             assert {"latency_p50_ms", "latency_p95_ms", "queue_wait_p95_ms"} <= set(payload)
             stats.reset()
             assert len(stats.latencies_ms) == 0
+            assert stats.latency_count == 0
+            assert stats.latency_ms_sum == stats.queue_wait_ms_sum == 0.0
             assert stats.to_dict().get("latency_p50_ms") is None
 
     def test_link_stream_preserves_order(self, pipeline, dataset, sequential):
         with AsyncLinkingService(
             pipeline,
             ServiceConfig(max_batch_size=4, cache_size=0),
-            deadline_ms=10.0,
+            admission=AdmissionConfig(max_wait_ms=10.0),
         ) as service:
             streamed = list(service.link_stream(iter(dataset.test)))
         assert_predictions_match(sequential, streamed)
 
     def test_submit_after_close_raises(self, pipeline, dataset):
-        service = AsyncLinkingService(pipeline, deadline_ms=10.0)
+        service = AsyncLinkingService(pipeline, admission=AdmissionConfig(max_wait_ms=10.0))
         service.close()
         with pytest.raises(RuntimeError):
             service.submit(dataset.test[0])
@@ -468,8 +474,10 @@ class TestAsyncLinkingService:
 
     def test_lone_submit_does_not_wait_out_the_deadline(self, pipeline, dataset):
         # Work-conserving dispatch: an idle worker runs a lone request at
-        # once; deadline_ms is a queue-wait budget, not a batching timer.
-        with AsyncLinkingService(pipeline, deadline_ms=60_000.0) as service:
+        # once; max_wait_ms is a queue-wait budget, not a batching timer.
+        with AsyncLinkingService(
+            pipeline, admission=AdmissionConfig(max_wait_ms=60_000.0)
+        ) as service:
             service.service.link_batch(dataset.test[:1])  # warm lazy paths
             prediction = service.submit(dataset.test[1]).result(timeout=1.0)
         expected = pipeline.disambiguate_snippet(dataset.test[1])
@@ -489,8 +497,8 @@ class TestAsyncLinkingService:
 
     def test_negative_deadline_rejected(self, pipeline):
         inner = LinkingService(pipeline, ServiceConfig(cache_size=0))
-        with pytest.raises(ValueError, match="deadline_ms"):
-            AsyncLinkingService(inner, deadline_ms=-1.0)
+        with pytest.raises(ValueError, match="max_wait_ms"):
+            AsyncLinkingService(inner, admission=AdmissionConfig(max_wait_ms=-1.0))
         inner.close()
 
     def test_rejects_config_with_prebuilt_service(self, pipeline):
@@ -534,7 +542,7 @@ class TestAsyncLinkingService:
         assert is_grad_enabled() is True
 
     def test_failing_batch_propagates_exception(self, pipeline, dataset, monkeypatch):
-        service = AsyncLinkingService(pipeline, deadline_ms=5.0)
+        service = AsyncLinkingService(pipeline, admission=AdmissionConfig(max_wait_ms=5.0))
         try:
             def boom(snippets, **kwargs):
                 raise RuntimeError("backend down")
